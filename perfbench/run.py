@@ -66,6 +66,8 @@ def launch(config: str, out: str, mode: str) -> dict:
         raise BenchError(f"{mode} process in {out} ended with status {proc.returncode} and no timings")
     with open(path) as fh:
         marks = json.load(fh)
+    if "t_parsed" not in marks:
+        raise BenchError(f"{mode} process in {out} ended with status {proc.returncode} before the config was parsed")
     return {
         "out": out,
         "mode": mode,
