@@ -142,7 +142,7 @@ def _wave_grid(rng: random.Random) -> dict:
     }
 
 
-_BUILDERS = {
+_CONFIG_MAKERS = {
     "ir-shells": _ir_shells,
     "cone-window": _cone_window,
     "field-algebra": _field_algebra,
@@ -152,7 +152,7 @@ _BUILDERS = {
 
 def make_config(workload: str, seed: int) -> dict:
     """The `softcone run` config of one workload for one seed."""
-    return _BUILDERS[workload](_rng(workload, seed))
+    return _CONFIG_MAKERS[workload](_rng(workload, seed))
 
 
 def check_seed(workload: str, seed: int) -> int:
