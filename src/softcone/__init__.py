@@ -50,12 +50,10 @@ from .profiles import (
 from .quadrature import QuadratureSpec
 from .testfields import (
     BumpProfile,
-    OnShellTransform,
     SeparableTerm,
     TestFieldPair,
     fourier_transform_1d,
     make_bump,
-    onshell_transform,
     photon_wavefunction,
 )
 from .wavecheck import (

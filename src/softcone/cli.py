@@ -197,10 +197,15 @@ class ScenarioConfig:
                 raise ConfigError(f"invalid field {name!r}: {exc}") from exc
         self.output_dir = raw.get("output_dir", "softcone-out")
         self.studies = []
-        for entry in raw.get("studies") or []:
+        for idx, entry in enumerate(raw.get("studies") or []):
+            where = f"studies[{idx}]"
+            if not isinstance(entry, dict):
+                raise ConfigError(f"{where}: expected a mapping with a 'name' key, got {entry!r}")
             name = entry.get("name")
             if name not in STUDY_ORDER:
-                raise ConfigError(f"unknown study {name!r}; see list-studies")
+                raise ConfigError(f"{where}: unknown study {name!r}; see list-studies")
+            if any(s["name"] == name for s in self.studies):
+                raise ConfigError(f"{where}: study {name!r} is listed more than once")
             self.studies.append(dict(entry))
 
     def field(self, name: str) -> TestFieldPair:
@@ -338,7 +343,11 @@ def _run_huyghens(cfg: ScenarioConfig, opts: dict):
     cases = []
     if opts.get("include_v_hat", True):
         cases.append(("v_hat", None))
-    cases.extend(("v_hat_T", float(T)) for T in opts.get("T_list", (1.0, 10.0)))
+    T_list = [float(T) for T in opts.get("T_list", (1.0, 10.0))]
+    if any(T <= 0 for T in T_list):
+        # T = 0 is the empty window: a zero profile with pairing scale 0
+        raise ValueError("T_list must be positive")
+    cases.extend(("v_hat_T", T) for T in T_list)
     checks, rows, table = [], [], []
     for kind, T in cases:
         rep = pairing.huyghens_report(cfg.params, fields, kind, cfg.quadrature, T)
@@ -493,6 +502,10 @@ def locality_quadrature(base: QuadratureSpec) -> QuadratureSpec:
 
 
 def _locality_pair(conf: dict):
+    # Oblique directions keep sigma from vanishing by symmetry alone: for an
+    # electric 3-field against a magnetic 1-field with centres on the 3-axis,
+    # conj(f1).f2 ~ sin(phi), so sigma is zero by parity at any separation
+    # (causally connected too) and the check could not fail.
     radius = float(conf.get("radius", 0.81))
     fields = []
     for idx, center in enumerate(conf["centers"]):
@@ -500,7 +513,7 @@ def _locality_pair(conf: dict):
         term = SeparableTerm(
             time=BumpProfile(c[0], 0.4),
             space=BumpProfile(0.0, 0.4),
-            direction=(0.0, 0.0, 1.0) if idx == 0 else (1.0, 0.0, 0.0),
+            direction=(1.0, 1.0, 1.0) if idx == 0 else (1.0, -1.0, 1.0),
             channel="electric" if idx == 0 else "magnetic",
             position=tuple(c[1:4]),
         )

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import PointSingularity
 from .photon import PhotonWaveFunction, transverse_project
-from .quadrature import gauss_rule, integrate_1d
+from .quadrature import gauss_rule, integrate_1d, unit_direction
 from .testfields import (
     BumpProfile,
     RadialBumpTransform,
@@ -105,12 +105,7 @@ def _window_truncation(params: DressingParams) -> float:
 
 def _angular_parts(params: DressingParams, mu, phi):
     """khat.w, the Doppler denominator and P_tr w on a spherical grid."""
-    mu = np.asarray(mu, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    sin_th = np.sqrt(np.clip(1.0 - mu * mu, 0.0, None))
-    kx = sin_th * np.cos(phi)
-    ky = sin_th * np.sin(phi)
-    kz = mu
+    kx, ky, kz = unit_direction(mu, phi)
     w1, w2, w3 = params.w
     kw = kx * w1 + ky * w2 + kz * w3
     pw = np.stack(
@@ -355,10 +350,7 @@ def pairwise_angular_factor(w_first, w_second) -> float:
     mu, wmu = gauss_rule(256)
     phi = (np.arange(128) + 0.5) * (TWO_PI / 128)
     wphi = TWO_PI / 128
-    sin_th = np.sqrt(np.clip(1.0 - mu * mu, 0.0, None))
-    kx = sin_th[:, None] * np.cos(phi)[None, :]
-    ky = sin_th[:, None] * np.sin(phi)[None, :]
-    kz = np.broadcast_to(mu[:, None], kx.shape)
+    kx, ky, kz = unit_direction(mu[:, None], phi[None, :])
 
     def doppler_field(w):
         kw = kx * w[0] + ky * w[1] + kz * w[2]

@@ -17,6 +17,13 @@ metadata, so node generation is reproducible bit-for-bit:
   polarisation axis mu = +-1) times a uniform midpoint rule in phi whose first
   node is offset away from phi = 0.
 
+The same composite-Gauss pieces serve the radial transforms elsewhere in the
+package (bump transforms, spectral wave solutions): ``panel_gauss`` builds the
+rule, ``panel_count`` sizes it for a frequency demand, ``freq_bucket`` rounds
+that demand to a power of two so rules can be cached, ``kernel_matvec`` applies
+an oscillatory kernel over the rule in bounded blocks, and ``unit_direction``
+turns (mu, phi) into Cartesian unit vectors.
+
 Large oscillation frequencies are handled by scaling panel density linearly
 with the frequency rather than by Filon/Levin weights; this is adequate at desk
 scale (T up to about 10^3) and is the documented scalability boundary.
@@ -33,6 +40,9 @@ from .errors import ToleranceNotMet
 
 MAX_RADIAL_NODES = 2_000_000
 MAX_ANGULAR_NODES = 4096
+TRANSFORM_ORDER = 16             # Gauss order of the radial transform rules
+TRANSFORM_NODES_PER_WAVELENGTH = 6.0
+KERNEL_CHUNK = 4_000_000         # kernel elements per block of kernel_matvec
 
 
 @lru_cache(maxsize=64)
@@ -40,6 +50,70 @@ def gauss_rule(order: int):
     """Cached Gauss-Legendre nodes/weights on [-1, 1]."""
     x, w = np.polynomial.legendre.leggauss(order)
     return x, w
+
+
+# ----------------------------------------------------------------------------
+# composite rules and transform kernels
+# ----------------------------------------------------------------------------
+
+def panel_gauss(lo: float, hi: float, npanels: int, order: int):
+    """Composite Gauss-Legendre rule: ``npanels`` equal panels on [lo, hi]
+    with ``order`` nodes each, returned flat (nodes, weights) panel by panel."""
+    x, w = gauss_rule(order)
+    edges = np.linspace(lo, hi, npanels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    pts = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * x
+    return pts.ravel(), (half * w).ravel()
+
+
+def panel_count(freq: float, length: float, nodes_per_wavelength: float,
+                order: int, floor: int) -> int:
+    """Equal panels of ``order`` nodes that keep ``nodes_per_wavelength`` nodes
+    per wavelength 2 pi / freq over ``length``; never fewer than ``floor``."""
+    return max(
+        floor,
+        math.ceil(nodes_per_wavelength * freq * length / (2.0 * math.pi * order)),
+    )
+
+
+def freq_bucket(freq: float) -> float:
+    """Smallest power of two >= freq, and at least 4: the cache key under which
+    a frequency demand reuses a transform rule."""
+    return float(2.0 ** math.ceil(math.log2(max(freq, 4.0))))
+
+
+def transform_rule(lo: float, hi: float, freq: float, floor: int):
+    """Composite rule on [lo, hi] for radial transforms up to frequency ``freq``."""
+    npanels = panel_count(
+        freq, hi - lo, TRANSFORM_NODES_PER_WAVELENGTH, TRANSFORM_ORDER, floor
+    )
+    return panel_gauss(lo, hi, npanels, TRANSFORM_ORDER)
+
+
+def sinc_kernel(z):
+    """sin(z) / z, regular at z = 0."""
+    return np.sinc(z / math.pi)
+
+
+def kernel_matvec(kernel, x, nodes: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """sum_j kernel(x_i nodes_j) coeff_j for every entry x_i of ``x`` (same
+    shape as ``x``), in blocks of at most KERNEL_CHUNK kernel elements."""
+    x = np.asarray(x, dtype=float)
+    flat = x.reshape(-1)
+    out = np.empty(flat.shape)
+    step = max(1, KERNEL_CHUNK // max(nodes.size, 1))
+    for i in range(0, flat.size, step):
+        out[i : i + step] = kernel(np.outer(flat[i : i + step], nodes)) @ coeff
+    return out.reshape(x.shape)
+
+
+def unit_direction(mu, phi):
+    """Cartesian components (kx, ky, kz) of the unit vector with
+    cos(theta) = mu and azimuth phi."""
+    mu = np.asarray(mu, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    sin_th = np.sqrt(np.clip(1.0 - mu * mu, 0.0, None))
+    return sin_th * np.cos(phi), sin_th * np.sin(phi), mu
 
 
 @dataclass(frozen=True)
@@ -108,36 +182,21 @@ def radial_mesh(spec: QuadratureSpec, r_lo: float, r_hi: float, freq: float = 0.
     least ``nodes_per_wavelength`` nodes per wavelength 2 pi / freq.
     """
     edges = geometric_breakpoints(r_lo, r_hi, spec.panels_per_decade)
-    x, w = gauss_rule(spec.gauss_order)
     nodes, weights = [], []
     budget = 0
     for a, b in zip(edges[:-1], edges[1:]):
         nsub = 1
-        if spec.oscillation_aware and freq > 0:
-            # nodes_per_wavelength nodes per 2 pi / freq, spread over the
-            # gauss_order nodes of each subpanel
-            nsub = max(
-                1,
-                int(
-                    math.ceil(
-                        spec.nodes_per_wavelength
-                        * freq
-                        * (b - a)
-                        / (2.0 * math.pi * spec.gauss_order)
-                    )
-                ),
-            )
-        sub = np.linspace(a, b, nsub + 1)
-        for aa, bb in zip(sub[:-1], sub[1:]):
-            half = 0.5 * (bb - aa)
-            nodes.append(0.5 * (aa + bb) + half * x)
-            weights.append(half * w)
+        if spec.oscillation_aware:
+            nsub = panel_count(freq, b - a, spec.nodes_per_wavelength, spec.gauss_order, 1)
         budget += nsub * spec.gauss_order
         if budget > MAX_RADIAL_NODES:
             raise ToleranceNotMet(
                 f"radial mesh would need more than {MAX_RADIAL_NODES} nodes "
                 f"(freq={freq:.3g}, interval=[{r_lo:.3g}, {r_hi:.3g}])"
             )
+        x, w = panel_gauss(a, b, nsub, spec.gauss_order)
+        nodes.append(x)
+        weights.append(w)
     return np.concatenate(nodes), np.concatenate(weights)
 
 
@@ -175,16 +234,11 @@ def integrate_1d(func, a: float, b: float, rel_tol: float = 1e-10,
     """
     if b <= a:
         return 0.0
-    x, w = gauss_rule(order)
-    npanels = max(2, int(math.ceil(freq * (b - a) / (2.0 * math.pi))))
+    npanels = panel_count(freq, b - a, order, order, 2)  # a panel per wavelength
     prev = None
     for _ in range(max_doublings):
-        edges = np.linspace(a, b, npanels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])[:, None]
-        half = 0.5 * (edges[1] - edges[0])
-        pts = mid + half * x[None, :]
-        vals = np.asarray(func(pts.ravel())).reshape(pts.shape)
-        total = complex(np.sum(vals * (half * w)[None, :]))
+        pts, wts = panel_gauss(a, b, npanels, order)
+        total = complex(np.sum(np.asarray(func(pts)) * wts))
         if prev is not None and abs(total - prev) <= rel_tol * max(abs(total), 1e-30):
             return total
         prev = total

@@ -19,14 +19,21 @@ kept verbatim including the constant prefactor; |f(k)| = O(|k|^(1/2)) near 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SoftconeError
 from .geometry import DoubleCone
-from .photon import PhotonWaveFunction, transverse_project
-from .quadrature import gauss_rule, integrate_1d
+from .photon import PhotonWaveFunction
+from .quadrature import (
+    freq_bucket,
+    integrate_1d,
+    kernel_matvec,
+    sinc_kernel,
+    transform_rule,
+    unit_direction,
+)
 
 TWO_PI = 2.0 * math.pi
 PHOTON_PREFACTOR = -1j * TWO_PI**2
@@ -100,18 +107,8 @@ class _SingleSlotMemo:
         return self._val
 
 
-def _panel_gauss(lo: float, hi: float, npanels: int, order: int = 16):
-    x, w = gauss_rule(order)
-    edges = np.linspace(lo, hi, npanels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    pts = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half * x[None, :]
-    wts = np.broadcast_to(half * w, pts.shape)
-    return pts.ravel(), wts.ravel()
-
-
-def _freq_bucket(rho) -> float:
-    m = float(np.max(np.abs(rho))) if np.size(rho) else 1.0
-    return float(2.0 ** math.ceil(math.log2(max(m, 8.0))))
+def _bucket_of(rho: np.ndarray) -> float:
+    return freq_bucket(float(np.max(np.abs(rho), initial=0.0)))
 
 
 class TimeBumpTransform:
@@ -131,8 +128,7 @@ class TimeBumpTransform:
         rule = self._rules.get(bucket)
         if rule is None:
             h = self.bump.halfwidth
-            npanels = max(4, math.ceil(6.0 * bucket * 2.0 * h / (TWO_PI * 16)))
-            s, w = _panel_gauss(-h, h, npanels)
+            s, w = transform_rule(-h, h, bucket, 4)
             centered = BumpProfile(0.0, h, self.bump.amplitude)
             rule = (s, w * centered(s) / math.sqrt(TWO_PI))
             self._rules[bucket] = rule
@@ -140,14 +136,7 @@ class TimeBumpTransform:
 
     def __call__(self, rho):
         rho = np.asarray(rho, dtype=float)
-        s, aw = self._rule(_freq_bucket(rho))
-        flat = rho.reshape(-1)
-        out = np.empty(flat.shape, dtype=float)
-        step = max(1, 8_000_000 // max(s.size, 1))
-        for i in range(0, flat.size, step):
-            blk = flat[i : i + step]
-            out[i : i + step] = np.cos(np.outer(blk, s)) @ aw
-        return out.reshape(rho.shape)
+        return kernel_matvec(np.cos, rho, *self._rule(_bucket_of(rho)))
 
 
 class RadialBumpTransform:
@@ -166,9 +155,7 @@ class RadialBumpTransform:
     def _rule(self, bucket: float):
         rule = self._rules.get(bucket)
         if rule is None:
-            R = self.bump.halfwidth
-            npanels = max(4, math.ceil(6.0 * bucket * R / (TWO_PI * 16)))
-            r, w = _panel_gauss(0.0, R, npanels)
+            r, w = transform_rule(0.0, self.bump.halfwidth, bucket, 4)
             coeff = w * r * r * self.bump(r) * (4.0 * math.pi / TWO_PI**1.5)
             rule = (r, coeff)
             self._rules[bucket] = rule
@@ -176,14 +163,7 @@ class RadialBumpTransform:
 
     def __call__(self, rho):
         rho = np.asarray(rho, dtype=float)
-        r, coeff = self._rule(_freq_bucket(rho))
-        flat = rho.reshape(-1)
-        out = np.empty(flat.shape, dtype=float)
-        step = max(1, 8_000_000 // max(r.size, 1))
-        for i in range(0, flat.size, step):
-            blk = flat[i : i + step]
-            out[i : i + step] = np.sinc(np.outer(blk, r) / math.pi) @ coeff
-        return out.reshape(rho.shape)
+        return kernel_matvec(sinc_kernel, rho, *self._rule(_bucket_of(rho)))
 
 
 @dataclass(frozen=True)
@@ -238,44 +218,6 @@ class TestFieldPair:
                 )
 
 
-class OnShellTransform:
-    """Momentum-point evaluator of (f~_e(|k|,k), f~_b(|k|,k)) with a point cache."""
-
-    def __init__(self, pair: TestFieldPair):
-        self.pair = pair
-        self._time = [TimeBumpTransform(t.time) for t in pair.terms]
-        self._space = [RadialBumpTransform(t.space) for t in pair.terms]
-        self._cache = {}
-
-    def __call__(self, k):
-        key = tuple(np.asarray(k, dtype=float).reshape(3))
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = self._evaluate(np.asarray(key))
-            self._cache[key] = hit
-        return hit
-
-    def _evaluate(self, k):
-        rho = float(np.linalg.norm(k))
-        fe = np.zeros(3, dtype=complex)
-        fb = np.zeros(3, dtype=complex)
-        for term, tt, st in zip(self.pair.terms, self._time, self._space):
-            scal = (
-                term.amplitude
-                * float(tt(np.array([rho]))[0])
-                * float(st(np.array([rho]))[0])
-                * np.exp(1j * (rho * term.time.center - np.dot(k, term.position)))
-            )
-            target = fe if term.channel == "electric" else fb
-            target += scal * np.asarray(term.direction)
-        return fe, fb
-
-
-def onshell_transform(pair: TestFieldPair, k):
-    """On-shell transform pair at momentum k (convenience wrapper)."""
-    return OnShellTransform(pair)(k)
-
-
 def _truncation_radius(envelopes) -> float:
     """Smallest radius beyond which the summed radial envelope stays below
     ENVELOPE_CUT of its peak (scanned on a fixed log grid, capped)."""
@@ -301,12 +243,7 @@ def photon_wavefunction(pair: TestFieldPair) -> PhotonWaveFunction:
 
     def evaluator(rho, mu, phi):
         rho = np.asarray(rho, dtype=float)
-        mu = np.asarray(mu, dtype=float)
-        phi = np.asarray(phi, dtype=float)
-        sin_th = np.sqrt(np.clip(1.0 - mu * mu, 0.0, None))
-        kx = sin_th * np.cos(phi)
-        ky = sin_th * np.sin(phi)
-        kz = mu
+        kx, ky, kz = unit_direction(mu, phi)
         shape = np.broadcast_shapes(rho.shape, kx.shape, kz.shape)
         out = np.zeros(shape + (3,), dtype=complex)
         sqrt_rho = np.sqrt(rho)

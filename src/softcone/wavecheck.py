@@ -28,7 +28,9 @@ import numpy as np
 
 from .errors import SoftconeError
 from .geometry import ConeRegion, Point4, double_cone_in_cone
-from .quadrature import gauss_rule
+# perfbench/spans.py reads _bucket and the WaveSolution._rules it keys
+from .quadrature import freq_bucket as _bucket
+from .quadrature import kernel_matvec, sinc_kernel, transform_rule
 from .testfields import (
     BumpProfile,
     RadialBumpTransform,
@@ -44,20 +46,6 @@ TABLE_REFINE = 4          # radial interpolation table step = grid spacing / thi
 FD_TIME_SCALE = 1.0 / 30.0  # Delta t = FD_TIME_SCALE * h^2 in the drift study
 
 
-def _panel_rule(lo: float, hi: float, freq: float, order: int = 16):
-    npanels = max(8, math.ceil(6.0 * max(freq, 1.0) * (hi - lo) / (TWO_PI * order)))
-    x, w = gauss_rule(order)
-    edges = np.linspace(lo, hi, npanels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    pts = (0.5 * (edges[:-1] + edges[1:]))[:, None] + half * x[None, :]
-    wts = np.broadcast_to(half * w, pts.shape)
-    return pts.ravel(), wts.ravel()
-
-
-def _bucket(x: float) -> float:
-    return float(2.0 ** math.ceil(math.log2(max(x, 4.0))))
-
-
 @dataclass
 class WaveSolution:
     """Spectral solution with initial data (g, dg/dt)|_{t=0} = (0, f_i)."""
@@ -71,13 +59,13 @@ class WaveSolution:
         self._transform = RadialBumpTransform(self.initial_profile)
         self._cutoff = _truncation_radius([self._transform])
 
-    def _rule(self, freq_bucket: float):
-        rule = self._rules.get(freq_bucket)
+    def _rule(self, bucket: float):
+        rule = self._rules.get(bucket)
         if rule is None:
-            rho, w = _panel_rule(0.0, self._cutoff, freq_bucket)
+            rho, w = transform_rule(0.0, self._cutoff, bucket, 8)
             coeff = WAVE_PREFACTOR * w * rho * self._transform(rho)
             rule = (rho, coeff)
-            self._rules[freq_bucket] = rule
+            self._rules[bucket] = rule
         return rule
 
     def radial_values(self, t: float, radii: np.ndarray, derivative: int = 0):
@@ -91,13 +79,7 @@ class WaveSolution:
             tcoeff = coeff * rho * np.cos(rho * tau)
         else:
             raise ValueError("derivative must be 0 or 1")
-        flat = radii.reshape(-1)
-        out = np.empty(flat.shape)
-        step = max(1, 4_000_000 // rho.size)
-        for i in range(0, flat.size, step):
-            blk = flat[i : i + step]
-            out[i : i + step] = np.sinc(np.outer(blk, rho) / math.pi) @ tcoeff
-        return out.reshape(radii.shape)
+        return kernel_matvec(sinc_kernel, radii, rho, tcoeff)
 
     @property
     def support_radius(self) -> float:
@@ -294,15 +276,14 @@ def bj_support_check(fields: TestFieldPair, probe_radius: float) -> float:
         tt = TimeBumpTransform(term.time)
         st = RadialBumpTransform(term.space)
         cutoff = _truncation_radius([lambda rho: tt(rho) * st(rho)])
-        rho, w = _panel_rule(0.0, cutoff, _bucket(y_max + abs(term.time.center)))
+        rho, w = transform_rule(0.0, cutoff, _bucket(y_max + abs(term.time.center)), 8)
         radial = (
             term.amplitude
             * np.cos(rho * term.time.center)
             * tt(rho)
             * st(rho)
         )
-        kernel = np.sinc(np.outer(radii, rho) / math.pi)
-        h_scalar = kernel @ (w * rho * rho * radial)
+        h_scalar = kernel_matvec(sinc_kernel, radii, rho, w * rho * rho * radial)
         h_vec += h_scalar[:, None] * np.asarray(term.direction)
 
     density = radii * radii * np.sum(h_vec * h_vec, axis=-1)

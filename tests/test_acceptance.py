@@ -106,13 +106,21 @@ def test_c02_polarisation_kinematics_bulk():
     assert ok
 
 
-def _separated_fields(c1, c2):
-    f1 = make_field(c1[0], c1[1:], halfwidth=0.4, radius=0.81)
+def _locality_fields(c1, c2):
+    # Oblique directions: an electric 3-field against a magnetic 1-field with
+    # centres on the 3-axis has sigma = 0 by parity at any separation.
+    f1 = make_field(c1[0], c1[1:], direction=(1.0, 1.0, 1.0), halfwidth=0.4, radius=0.81)
     f2 = make_field(
-        c2[0], c2[1:], channel="magnetic", direction=(1.0, 0.0, 0.0),
+        c2[0], c2[1:], channel="magnetic", direction=(1.0, -1.0, 1.0),
         halfwidth=0.4, radius=0.81,
     )
     return f1, f2
+
+
+def _sigma_ratio(c1, c2, q):
+    f1, f2 = _locality_fields(c1, c2)
+    res = pair(photon_wavefunction(f1), photon_wavefunction(f2), q)
+    return causally_separated(f1.support, f2.support), abs(res.value.imag) / res.scale
 
 
 def test_c03_symplectic_form_vanishes_under_separation(quad):
@@ -134,13 +142,25 @@ def test_c03_symplectic_form_vanishes_under_separation(quad):
     worst = 0.0
     for relation, configs in (("spacelike", spacelike), ("timelike", timelike)):
         for c1, c2 in configs:
-            f1, f2 = _separated_fields(c1, c2)
-            assert causally_separated(f1.support, f2.support) == relation
-            res = pair(photon_wavefunction(f1), photon_wavefunction(f2), q)
-            worst = max(worst, abs(res.value.imag) / res.scale)
+            got, ratio = _sigma_ratio(c1, c2, q)
+            assert got == relation
+            worst = max(worst, ratio)
     ok = worst <= 1e-6
     _line(3, ok, f"sigma on 5 spacelike + 5 timelike pairs: worst ratio {worst:.3e} <= 1e-6")
     assert ok
+
+
+def test_c03_negative_control_connected_pairs(quad):
+    # the same field shapes with overlapping causal shadows: sigma must not vanish
+    connected = [
+        ((0.0, 0.0, 0.0, 0.5), (0.0, 0.0, 0.0, -0.5)),
+        ((1.0, 0.0, 0.0, 1.0), (-1.0, 0.0, 0.0, -1.0)),
+    ]
+    q = replace(quad, r_max=40.0)
+    for c1, c2 in connected:
+        relation, ratio = _sigma_ratio(c1, c2, q)
+        assert relation == "neither"
+        assert ratio > 1e-6
 
 
 def test_c04_shell_norm_log_slope_matches_angular_oracle(params, quad):

@@ -94,6 +94,34 @@ def test_unknown_study_rejected(tmp_path, capsys):
     assert "unknown study" in capsys.readouterr().err
 
 
+def test_duplicate_study_rejected(tmp_path, capsys):
+    text = "studies:\n  - name: ir-divergence\n  - name: locality\n  - name: ir-divergence\n"
+    rc = cli.run(write_config(tmp_path, text), str(tmp_path / "o"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "studies[2]" in err and "more than once" in err
+
+
+def test_bare_string_study_rejected(tmp_path, capsys):
+    text = "studies:\n  - name: locality\n  - ir-divergence\n"
+    rc = cli.run(write_config(tmp_path, text), str(tmp_path / "o"))
+    assert rc == 2
+    assert "studies[1]" in capsys.readouterr().err
+
+
+def test_huyghens_empty_window_is_a_study_error(tmp_path):
+    text = MINI_CONFIG.split("studies:")[0] + (
+        "studies:\n  - name: huyghens\n    field: probe\n"
+        "    T_list: [0.0]\n    include_v_hat: false\n"
+    )
+    rc = cli.run(write_config(tmp_path, text), str(tmp_path / "o"))
+    assert rc == 1
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    (entry,) = report["studies"]
+    assert entry["name"] == "huyghens" and entry["pass"] is False
+    assert entry["error"].startswith("ValueError")
+
+
 def test_lightlike_velocity_rejected_at_parse_time(tmp_path, capsys):
     path = write_config(tmp_path, "params:\n  w: [0.0, 0.0, 1.0]\n")
     rc = cli.run(path, str(tmp_path / "o"))

@@ -5,11 +5,18 @@ import pytest
 
 from softcone.errors import ToleranceNotMet
 from softcone.quadrature import (
+    KERNEL_CHUNK,
     QuadratureSpec,
     angular_mesh,
+    freq_bucket,
     geometric_breakpoints,
     integrate_1d,
+    kernel_matvec,
+    panel_count,
+    panel_gauss,
     radial_mesh,
+    sinc_kernel,
+    unit_direction,
 )
 
 
@@ -94,3 +101,54 @@ def test_integrate_1d_oscillatory_with_freq_hint():
 
 def test_integrate_1d_empty_interval():
     assert integrate_1d(lambda x: x, 1.0, 1.0) == 0.0
+
+
+# ---------------------------------------------------------- shared pieces
+
+@pytest.mark.parametrize("npanels", [1, 3, 8])
+def test_panel_gauss_exact_through_degree_31(npanels):
+    lo, hi = -0.7, 1.3
+    x, w = panel_gauss(lo, hi, npanels, 16)
+    assert x.size == w.size == 16 * npanels
+    assert np.all((x > lo) & (x < hi)) and np.all(np.diff(x) > 0)
+    for p in range(32):
+        want = (hi ** (p + 1) - lo ** (p + 1)) / (p + 1)
+        assert np.sum(w * x**p) == pytest.approx(want, rel=1e-13, abs=1e-14)
+
+
+def test_panel_count_keeps_nodes_per_wavelength_and_floor():
+    # 6 nodes per wavelength over 16-node panels: 3 wavelengths need 18 nodes
+    assert panel_count(2.0 * math.pi, 3.0, 6.0, 16, 1) == 2
+    assert panel_count(2.0 * math.pi, 3.0, 6.0, 16, 4) == 4
+    assert panel_count(0.0, 3.0, 6.0, 16, 1) == 1
+    n = panel_count(2.0 * math.pi * 100.0, 1.0, 6.0, 16, 8)
+    assert 16 * n >= 600 > 16 * (n - 1)
+
+
+def test_kernel_matvec_chunks_match_one_product():
+    nodes = np.linspace(0.01, 9.0, 128)
+    coeff = np.cos(nodes) * np.exp(-nodes)
+    n = 3 * (KERNEL_CHUNK // nodes.size) - 17   # three blocks, the last partial
+    x = np.linspace(0.0, 40.0, n).reshape(-1, 1)
+    got = kernel_matvec(sinc_kernel, x, nodes, coeff)
+    want = sinc_kernel(np.outer(x.ravel(), nodes)) @ coeff
+    assert got.shape == x.shape
+    assert np.max(np.abs(got.ravel() - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_freq_bucket_powers_of_two_with_floor_4():
+    for freq in (0.0, 0.5, 3.9, 4.0, 4.1, 7.9, 8.0, 8.5, 1000.0):
+        b = freq_bucket(freq)
+        assert b >= max(freq, 4.0)
+        assert b == 4.0 or b < 2.0 * freq
+        assert b == 2.0 ** round(math.log2(b))
+    assert freq_bucket(0.0) == freq_bucket(4.0) == 4.0
+
+
+def test_unit_direction_is_unit_and_matches_angles():
+    mu = np.array([-0.9, 0.0, 0.3, 1.0])
+    phi = np.array([0.1, 2.0, 4.0, 5.5])
+    kx, ky, kz = unit_direction(mu, phi)
+    assert np.allclose(kx * kx + ky * ky + kz * kz, 1.0, rtol=0, atol=1e-15)
+    assert np.array_equal(kz, mu)
+    assert np.allclose(np.arctan2(ky[:3], kx[:3]) % (2 * math.pi), phi[:3], atol=1e-14)
