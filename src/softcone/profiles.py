@@ -154,11 +154,14 @@ def _dressed_wavefunction(params: DressingParams, which: str, T) -> PhotonWaveFu
         rho = np.asarray(rho, dtype=float)
         _require_positive(rho)
         kw, denom, pw = _angular_parts(params, mu, phi)
+        # dividing a complex array by a real one multiplies by the reciprocal,
+        # so taking it on the angular grid alone gives the same bits
+        inv_denom = 1.0 / denom
         g = gt(rho)
         phase_u = np.exp(-1j * u * rho)
         acc = 0.0
         if which in ("vhat", "total"):
-            acc = acc + (g * phase_u * rho ** -1.5) / denom
+            acc = acc + (g * phase_u * rho ** -1.5) * inv_denom
         if which in ("term2", "term3", "total"):
             if which in ("term2", "total"):
                 b = rho * kw
@@ -167,7 +170,7 @@ def _dressed_wavefunction(params: DressingParams, which: str, T) -> PhotonWaveFu
             if which in ("term3", "total"):
                 acc = acc - (
                     g * phase_u * rho ** -1.5 * np.exp(-1j * rho * (1.0 - kw) * T)
-                ) / denom
+                ) * inv_denom
         out = sqrt_alpha * acc
         return out[..., None] * pw
 

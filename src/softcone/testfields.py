@@ -244,8 +244,7 @@ def photon_wavefunction(pair: TestFieldPair) -> PhotonWaveFunction:
     def evaluator(rho, mu, phi):
         rho = np.asarray(rho, dtype=float)
         kx, ky, kz = unit_direction(mu, phi)
-        shape = np.broadcast_shapes(rho.shape, kx.shape, kz.shape)
-        out = np.zeros(shape + (3,), dtype=complex)
+        out = None
         sqrt_rho = np.sqrt(rho)
         for term, tt, st in zip(terms, times, spaces):
             d = np.asarray(term.direction)
@@ -273,7 +272,10 @@ def photon_wavefunction(pair: TestFieldPair) -> PhotonWaveFunction:
                     ],
                     axis=-1,
                 )
-            out += scal[..., None] * vec
+            if out is None:
+                out = scal[..., None] * vec
+            else:
+                out += scal[..., None] * vec
         return out
 
     envelopes = [

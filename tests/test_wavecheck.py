@@ -9,6 +9,8 @@ from softcone.quadrature import QuadratureSpec
 from softcone.testfields import BumpProfile, SeparableTerm, TestFieldPair
 from softcone.wavecheck import (
     WaveSolution,
+    _grid_axis,
+    _radius_classes,
     bj_support_check,
     lemma_a2_radius_check,
     mass_outside_cone,
@@ -104,6 +106,23 @@ def test_symplectic_extent_guard(solution):
     other = WaveSolution(BumpProfile(0.0, 0.4))
     with pytest.raises(SoftconeError):
         symplectic_time_invariance(solution, other, (0.0, 3.0), extent=4.0)
+
+
+@pytest.mark.parametrize("extent,spacing", [(2.0, 0.125), (2.3, 0.1), (1.7, 0.3)])
+def test_radius_classes_reproduce_the_grid_sum(extent, spacing):
+    # a dyadic axis (exactly symmetric), a decimal one (symmetric up to
+    # rounding) and a lopsided one (extent not a multiple of the spacing),
+    # each against the full cube
+    ax = _grid_axis(extent, spacing)
+    radii, count = _radius_classes(ax)
+    full = np.sqrt(ax[:, None, None] ** 2 + ax[None, :, None] ** 2 + ax[None, None, :] ** 2)
+    assert np.all(np.diff(radii) >= 0)
+    assert np.all(count >= 1) and count.sum() == ax.size**3
+    # one class per sorted triple of distinct squared axis values at most
+    assert radii.size <= math.comb(np.unique(ax * ax).size + 2, 3)
+    f = lambda r: np.cos(3.0 * r) * np.exp(-r)
+    assert math.isclose(float(np.sum(count * f(radii))), float(np.sum(f(full))), rel_tol=1e-13)
+    assert float(np.sum(count[radii > 0.9])) == float(np.sum(full > 0.9))
 
 
 # ---------------------------------------------------------------- bj support
