@@ -178,6 +178,33 @@ def _build_field(d: dict) -> TestFieldPair:
     return TestFieldPair(tuple(terms), cone)
 
 
+def _validate_study(where: str, entry: dict):
+    """Reject options a study cannot run, and a study that would check
+    nothing: a verdict over no checks would pass whatever the program does."""
+    name = entry["name"]
+    if name == "locality":
+        confs = entry.get("configurations") or []
+        if not confs:
+            raise ConfigError(f"{where}: locality needs at least one entry in 'configurations'")
+        for j, conf in enumerate(confs):
+            centers = conf.get("centers") if isinstance(conf, dict) else None
+            if not (isinstance(centers, list) and len(centers) == 2
+                    and all(isinstance(c, list) and len(c) == 4 for c in centers)):
+                raise ConfigError(
+                    f"{where}.configurations[{j}]: 'centers' must hold two points "
+                    f"[t, x, y, z], got {centers!r}"
+                )
+    elif name == "huyghens":
+        if not entry.get("T_list", True) and not entry.get("include_v_hat", True):
+            raise ConfigError(f"{where}: huyghens with an empty T_list needs include_v_hat")
+    elif name == "weyl-laws":
+        n = entry.get("n_labels", 12)
+        if not isinstance(n, (int, float)) or n < 3:
+            raise ConfigError(
+                f"{where}: weyl-laws needs n_labels >= 3 (associativity takes triples), got {n!r}"
+            )
+
+
 class ScenarioConfig:
     """Validated scenario: profile params, quadrature, fields, study list."""
 
@@ -207,6 +234,8 @@ class ScenarioConfig:
             if any(s["name"] == name for s in self.studies):
                 raise ConfigError(f"{where}: study {name!r} is listed more than once")
             self.studies.append(dict(entry))
+        for idx, entry in enumerate(self.studies):
+            _validate_study(f"studies[{idx}]", entry)
 
     def field(self, name: str) -> TestFieldPair:
         if name not in self.fields:
@@ -467,7 +496,7 @@ def _run_weyl_laws(cfg: ScenarioConfig, opts: dict):
     tol = float(opts.get("tolerance", 1e-10))
     rng = np.random.default_rng(seed)
     q = weyl_quadrature(cfg.quadrature)
-    labels = [weyl.WeylElement(photon_wavefunction(_random_label(rng))) for _ in range(n)]
+    labels = weyl.gram_elements([photon_wavefunction(_random_label(rng)) for _ in range(n)], q)
     errors = {"group-law": 0.0, "involution": 0.0, "associativity": 0.0}
     for w in labels:
         unit = weyl.multiply(w, weyl.adjoint(w), q)
@@ -477,7 +506,7 @@ def _run_weyl_laws(cfg: ScenarioConfig, opts: dict):
         errors["involution"] = max(
             errors["involution"], weyl.phase_distance(weyl.adjoint(weyl.adjoint(w)).phase, w.phase)
         )
-    for i in range(max(0, n - 2)):
+    for i in range(n - 2):
         w1, w2, w3 = labels[i], labels[i + 1], labels[i + 2]
         left = weyl.multiply(weyl.multiply(w1, w2, q), w3, q)
         right = weyl.multiply(w1, weyl.multiply(w2, w3, q), q)

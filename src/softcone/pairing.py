@@ -25,7 +25,9 @@ block size, so results are bit-for-bit reproducible.
 """
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -188,6 +190,76 @@ def pair(
         scale=l1_f,
         node_count=coarse.node_count + fine.node_count,
     )
+
+
+def _accumulate_gram(mesh: _Mesh, leaves, entries):
+    """Value and L1 mass of <leaves[i], leaves[j]> for each (i, j) in
+    ``entries`` on one mesh, evaluating every leaf once per chunk.
+
+    The chunk holds all leaves at once, so its angular width is divided by
+    their number: the chunk's arrays then take no more memory than the two
+    operands of one `_accumulate` product.  Leaves are held component-first,
+    so the three-term dot runs on contiguous arrays; it adds the components
+    in the order `_accumulate`'s sum does."""
+    used = sorted({k for entry in entries for k in entry})
+    rows = sorted({i for i, _ in entries})
+    nr = mesh.rho.size
+    rho_col = mesh.rho[:, None]
+    jac = mesh.rho_weight[:, None]
+    nb = max(1, CHUNK_ELEMENTS // (nr * len(used)))
+    values = [0.0 + 0.0j for _ in entries]
+    l1 = [0.0 for _ in entries]
+    for start in range(0, mesh.ang_mu.size, nb):
+        sl = slice(start, start + nb)
+        mu = mesh.ang_mu[sl][None, :]
+        phi = mesh.ang_phi[sl][None, :]
+        w = jac * mesh.ang_weight[sl][None, :]
+        vals = {k: np.moveaxis(leaves[k].values(rho_col, mu, phi), -1, 0).copy() for k in used}
+        conj = {i: np.conjugate(vals[i]) for i in rows}
+        for e, (i, j) in enumerate(entries):
+            a, b = conj[i], vals[j]
+            g = a[0] * b[0]
+            g += a[1] * b[1]
+            g += a[2] * b[2]
+            values[e] += complex(np.sum(g * w))
+            l1[e] += float(np.sum(np.abs(g) * w))
+    return values, l1
+
+
+def gram(leaves, entries, quadrature: QuadratureSpec | None = None) -> dict:
+    """<leaves[i], leaves[j]> for each wanted (i, j), keyed by (i, j).
+
+    One coarse and one fine mesh serve every entry.  They are sized as `pair`
+    would size them for the sum of the row leaves against the sum of the
+    column leaves, which covers the phases and extents of every entry.  Each leaf is evaluated once per mesh however many entries it enters, and
+    each entry passes the same two-level check as `pair`, with its own L1
+    mass as ``scale``."""
+    q = quadrature if quadrature is not None else QuadratureSpec()
+    entries = list(entries)
+    for i, j in entries:
+        check_integrable(leaves[i], leaves[j])
+    rows = functools.reduce(operator.add, [leaves[i] for i in sorted({i for i, _ in entries})])
+    cols = functools.reduce(operator.add, [leaves[j] for j in sorted({j for _, j in entries})])
+    coarse = build_mesh(q, rows, cols)
+    fine = build_mesh(q.refined(), rows, cols)
+    vals_c, _ = _accumulate_gram(coarse, leaves, entries)
+    vals_f, l1_f = _accumulate_gram(fine, leaves, entries)
+    out = {}
+    for entry, val_c, val_f, l1 in zip(entries, vals_c, vals_f, l1_f):
+        err = abs(val_f - val_c)
+        tol = max(q.abs_tol, q.rel_tol * max(l1, abs(val_f)))
+        if err > tol:
+            raise ToleranceNotMet(
+                f"Gram entry {entry}: two-level refinement disagrees by {err:.3e} "
+                f"(tolerance {tol:.3e}, scale {l1:.3e})"
+            )
+        out[entry] = PairingResult(
+            value=val_f,
+            error_estimate=err,
+            scale=l1,
+            node_count=coarse.node_count + fine.node_count,
+        )
+    return out
 
 
 def _forward_cone_guard(fields: TestFieldPair):

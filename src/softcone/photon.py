@@ -104,7 +104,7 @@ class PhotonWaveFunction:
     # -- linear structure (labels form a complex vector space) --------------
 
     def _combined_meta(self, other: "PhotonWaveFunction") -> dict:
-        terms = tuple(dict.fromkeys(self.phase_terms + other.phase_terms))[:16]
+        terms = tuple(dict.fromkeys(self.phase_terms + other.phase_terms))
         return dict(
             small_k_exponent=min(self.small_k_exponent, other.small_k_exponent),
             truncation_radius=max(self.truncation_radius, other.truncation_radius),

@@ -190,3 +190,39 @@ def test_region_outline_lists_triangle_vertices(tmp_path):
     assert cli.run(path, str(out_dir)) == 0
     got = (out_dir / "region-T3.csv").read_text()
     assert got == "t,tau\n0.0,0.0\n0.0,3.0\n3.0,3.0\n"
+
+
+@pytest.mark.parametrize(
+    "study, fragment",
+    [
+        ("  - name: locality\n    ratio_tol: 1.0e-6\n", "configurations"),
+        ("  - name: huyghens\n    field: probe\n    T_list: []\n    include_v_hat: false\n",
+         "include_v_hat"),
+        ("  - name: weyl-laws\n    n_labels: 2\n", "n_labels"),
+    ],
+    ids=["locality-without-configurations", "huyghens-empty", "weyl-laws-two-labels"],
+)
+def test_study_with_nothing_to_check_rejected(tmp_path, capsys, study, fragment):
+    text = MINI_CONFIG.split("studies:")[0] + "studies:\n  - name: ir-divergence\n" + study
+    rc = cli.run(write_config(tmp_path, text), str(tmp_path / "o"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "studies[1]" in err and fragment in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "centers",
+    ["", "    centers: [[0.0, 0.0, 0.0, 4.0]]\n",
+     "    centers: [[0.0, 0.0, 0.0, 4.0], [0.0, 0.0, 0.0, -4.0], [1.0, 0.0, 0.0, 0.0]]\n"],
+    ids=["missing", "one", "three"],
+)
+def test_locality_configuration_needs_two_centers(tmp_path, capsys, centers):
+    text = (
+        "studies:\n  - name: locality\n    configurations:\n"
+        "      - {name: ok, centers: [[0.0, 0.0, 0.0, 4.0], [0.0, 0.0, 0.0, -4.0]]}\n"
+        "      - name: bad\n" + centers
+    )
+    rc = cli.run(write_config(tmp_path, text), str(tmp_path / "o"))
+    assert rc == 2
+    assert "studies[0].configurations[1]" in capsys.readouterr().err

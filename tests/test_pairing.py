@@ -11,6 +11,7 @@ from softcone.errors import (
 from softcone.pairing import (
     PairingResult,
     build_mesh,
+    gram,
     huyghens_defect,
     huyghens_report,
     lemma1_phase,
@@ -20,7 +21,7 @@ from softcone.pairing import (
 from softcone.profiles import DressingParams, profile_wavefunction
 from softcone.quadrature import QuadratureSpec
 from softcone.testfields import photon_wavefunction
-from tests.conftest import make_field
+from tests.conftest import make_field, make_random_label
 
 
 def test_pairing_result_validates_error():
@@ -65,6 +66,37 @@ def test_pair_refinement_guard_fires():
     )
     with pytest.raises(ToleranceNotMet):
         pair(f, f, bad)
+
+
+def test_gram_entries_match_pair(quad):
+    # on a mesh that ignores phase metadata every entry shares pair()'s mesh,
+    # so the Gram differs from separate pairings only in summation order
+    from softcone.cli import weyl_quadrature
+
+    q = weyl_quadrature(quad)
+    rng = np.random.default_rng(3)
+    leaves = [photon_wavefunction(make_random_label(rng)) for _ in range(3)]
+    entries = [(0, 0), (0, 1), (2, 0), (1, 2)]
+    got = gram(leaves, entries, q)
+    assert list(got) == entries
+    for (i, j), res in got.items():
+        ref = pair(leaves[i], leaves[j], q)
+        assert abs(res.value - ref.value) <= 1e-13 * abs(ref.value)
+        assert res.scale == pytest.approx(ref.scale, rel=1e-13)
+        assert res.node_count == ref.node_count
+        assert res.error_estimate <= max(q.abs_tol, q.rel_tol * res.scale)
+
+
+def test_gram_refinement_guard_fires():
+    f = photon_wavefunction(make_field(5.0, (0.0, 0.0, 0.0), radius=1.0))
+    g = photon_wavefunction(make_field(5.5, (0.0, 0.0, 0.3), radius=1.0))
+    bad = QuadratureSpec(
+        r_min=1e-4, r_max=40.0, panels_per_decade=1, gauss_order=2,
+        n_cos_theta=2, n_phi=1, oscillation_aware=False, rel_tol=1e-10,
+        abs_tol=1e-30,
+    )
+    with pytest.raises(ToleranceNotMet, match=r"Gram entry \(0, 1\)"):
+        gram([f, g], [(0, 1)], bad)
 
 
 def test_build_mesh_respects_truncation(quad, forward_probe):

@@ -113,3 +113,14 @@ def test_inner_product_antilinear_first_slot(quad):
     assert scaled == pytest.approx(np.conj(2j) * base, rel=1e-10)
     scaled2 = inner_product(f, g.scaled(2j), quad)
     assert scaled2 == pytest.approx(2j * base, rel=1e-10)
+
+
+def test_sum_keeps_every_phase_term():
+    # the mesh budgets frequency and resonance from phase_terms, so a sum
+    # must carry every distinct term of its summands
+    wfs = [photon_wavefunction(make_field(0.1 * n, (0.0, 0.0, 0.05 * n))) for n in range(20)]
+    total = wfs[0]
+    for wf in wfs[1:]:
+        total = total + wf
+    assert total.phase_terms == tuple(wf.phase_terms[0] for wf in wfs)
+    assert len(set(total.phase_terms)) == 20

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from softcone import weyl
 from softcone.errors import NonIntegrablePairing
-from softcone.pairing import lemma1_phase
+from softcone.pairing import lemma1_phase, pair
 from softcone.photon import PhotonWaveFunction, zero_wavefunction
 from softcone.profiles import DressingParams, profile_wavefunction
 from softcone.quadrature import QuadratureSpec
@@ -19,6 +20,7 @@ from softcone.weyl import (
     apply_automorphism,
     canonical_phase,
     compose_difference,
+    gram_elements,
     multiply,
     phase_distance,
     state_phase,
@@ -109,6 +111,48 @@ def test_involution_is_idempotent(labels):
     assert phase_distance(again.phase, w.phase) == 0.0
 
 
+def _product_phase_gaps(elements, q):
+    """Distance of multiply's phase from a.phase + b.phase - Im<a.label, b.label>
+    for words of length 2 and 3, with sigma from pair() on the composed labels
+    (a path that never reads a Gram matrix)."""
+    w0, w1, w2 = elements
+    w01 = multiply(w0, w1, q)
+    w012 = multiply(w01, w2, q)
+    gaps = []
+    for a, b in [(w01, w2), (w012, adjoint(w1)), (w1, w012)]:
+        sigma = pair(a.label, b.label, q).value.imag
+        want = canonical_phase(a.phase + b.phase - sigma)
+        gaps.append(phase_distance(multiply(a, b, q).phase, want))
+    return gaps
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["per-product-block", "shared-gram"])
+def test_product_phase_matches_pairing_of_composed_labels(labels, shared_quad, shared):
+    elements = gram_elements([w.label for w in labels], shared_quad) if shared else labels
+    assert max(_product_phase_gaps(elements, shared_quad)) <= 1e-12
+
+
+def test_product_phase_check_fails_on_swapped_gram_slots(labels, shared_quad, monkeypatch):
+    # <f_j, f_i> in place of <f_i, f_j> flips every sigma the Gram yields
+    unswapped = weyl.gram
+
+    def swapped(leaves, entries, q):
+        out = unswapped(leaves, [(j, i) for i, j in entries], q)
+        return {(i, j): res for (j, i), res in out.items()}
+
+    monkeypatch.setattr(weyl, "gram", swapped)
+    elements = gram_elements([w.label for w in labels], shared_quad)
+    assert min(_product_phase_gaps(elements, shared_quad)) > 1e-6
+
+
+def test_gram_shared_only_for_its_quadrature(labels, shared_quad):
+    w0, w1, _ = gram_elements([w.label for w in labels], shared_quad)
+    assert multiply(w0, w1, shared_quad).gram is w0.gram
+    other = replace(shared_quad, n_phi=shared_quad.n_phi + 2)
+    fresh = multiply(labels[0], labels[1], other)
+    assert phase_distance(multiply(w0, w1, other).phase, fresh.phase) == 0.0
+
+
 def test_multiply_guards_square_integrability(params, labels, shared_quad):
     sharp = WeylElement(profile_wavefunction(params, "v_limit"))
     with pytest.raises(NonIntegrablePairing):
@@ -161,8 +205,6 @@ def test_state_phase_trivial_at_zero_velocity(shared_quad, forward_probe):
 def test_state_phase_ratio_matches_inner_phase_difference(params, quad, forward_probe):
     # for a forward-cone label the ratio of the dressed phases at two
     # velocities reduces to the square-integrable inner part
-    from dataclasses import replace
-
     slow = replace(params, w=(0.0, 0.0, 0.1))
     z = state_phase(params, forward_probe, quad)
     z_slow = state_phase(slow, forward_probe, quad)
