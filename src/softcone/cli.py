@@ -178,10 +178,62 @@ def _build_field(d: dict) -> TestFieldPair:
     return TestFieldPair(tuple(terms), cone)
 
 
+def _is_number(x) -> bool:
+    try:
+        float(x)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def _is_numbers(x, lengths=None) -> bool:
+    """A list of numbers, of one of ``lengths`` when given."""
+    return isinstance(x, list) and all(map(_is_number, x)) and (lengths is None or len(x) in lengths)
+
+
+def _is_velocity_pairs(x) -> bool:
+    return isinstance(x, list) and all(
+        isinstance(p, list) and len(p) == 2 and all(_is_numbers(w, (3,)) for w in p) for p in x
+    )
+
+
+FLAG = (lambda x: True, "")
+NAME = (lambda x: x is None or isinstance(x, str), "a field name")
+NUMBER = (_is_number, "a number")
+NUMBERS = (_is_numbers, "a list of numbers")
+# The options each study reads, with the check its value must pass.
+STUDY_OPTIONS = {
+    "ir-divergence": {"speeds": NUMBERS, "sigma_grid": NUMBERS, "slope_rtol": NUMBER},
+    "superselection-slope": {"pairs": (_is_velocity_pairs, "a list of pairs of 3-vectors"),
+                             "sigma_grid": NUMBERS, "slope_rtol": NUMBER},
+    "difference-norm": {"sigma_probes": NUMBERS, "cauchy_rtol": NUMBER},
+    "huyghens": {"field": NAME, "T_list": NUMBERS, "include_v_hat": FLAG, "defect_rtol": NUMBER},
+    "limit-T": {"field": NAME, "T_list": NUMBERS, "decay_factor": NUMBER, "region_T": NUMBERS,
+                "decay_pair": (lambda x: _is_numbers(x, (0, 2)), "an empty list or two numbers")},
+    "weyl-laws": {"n_labels": (lambda x: _is_number(x) and float(x) >= 3,
+                               "a number >= 3 (associativity takes triples)"),
+                  "seed": NUMBER, "tolerance": NUMBER},
+    "locality": {"ratio_tol": NUMBER, "configurations": (lambda x: isinstance(x, list), "a list")},
+    "wave-appendix": {"t_list": NUMBERS, "drift_rtol": NUMBER, "include_halving": FLAG, "bj_field": NAME},
+}
+
+
 def _validate_study(where: str, entry: dict):
-    """Reject options a study cannot run, and a study that would check
-    nothing: a verdict over no checks would pass whatever the program does."""
+    """Reject options a study does not read or cannot run, and a study that
+    would check nothing: a verdict over no checks would pass whatever the
+    program does."""
     name = entry["name"]
+    options = STUDY_OPTIONS[name]
+    for key, value in entry.items():
+        if key == "name":
+            continue
+        if key not in options:
+            raise ConfigError(
+                f"{where}: unknown option {key!r} for {name}; it reads {', '.join(options)}"
+            )
+        valid, expected = options[key]
+        if not valid(value):
+            raise ConfigError(f"{where}.{key}: expected {expected}, got {value!r}")
     if name == "locality":
         confs = entry.get("configurations") or []
         if not confs:
@@ -197,12 +249,6 @@ def _validate_study(where: str, entry: dict):
     elif name == "huyghens":
         if not entry.get("T_list", True) and not entry.get("include_v_hat", True):
             raise ConfigError(f"{where}: huyghens with an empty T_list needs include_v_hat")
-    elif name == "weyl-laws":
-        n = entry.get("n_labels", 12)
-        if not isinstance(n, (int, float)) or n < 3:
-            raise ConfigError(
-                f"{where}: weyl-laws needs n_labels >= 3 (associativity takes triples), got {n!r}"
-            )
 
 
 class ScenarioConfig:

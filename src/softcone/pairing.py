@@ -77,14 +77,6 @@ class _Mesh:
         return self.rho.size * self.ang_mu.size
 
 
-def _phase_pairs(v: PhotonWaveFunction, f: PhotonWaveFunction):
-    return [
-        (cf0 - cv0, cf1 - cv1)
-        for (cv0, cv1) in v.phase_terms
-        for (cf0, cf1) in f.phase_terms
-    ]
-
-
 def build_mesh(
     spec: QuadratureSpec,
     v: PhotonWaveFunction,
@@ -104,7 +96,7 @@ def build_mesh(
     resonant_c1 = 0.0
     x_perp = 0.0
     if spec.oscillation_aware:
-        pairs = _phase_pairs(v, f)
+        pairs = [(cf0 - cv0, cf1 - cv1) for cv0, cv1 in v.phase_terms for cf0, cf1 in f.phase_terms]
         freq = max(abs(c0) + abs(c1) for c0, c1 in pairs)
         freq += v.freq_pad + f.freq_pad
         for c0, c1 in pairs:
@@ -130,85 +122,33 @@ def build_mesh(
     return _Mesh(rho, rho_w * rho * rho, ang_mu, ang_phi, ang_w)
 
 
-def _accumulate(mesh: _Mesh, parts, f: PhotonWaveFunction):
-    """Pair each wavefunction in ``parts`` with f on one mesh.
-
-    Returns (values, l1_masses, total_l1) where total_l1 is the L1 mass of
-    the summed integrand.  The rho array object is reused across chunks so
-    the wavefunctions' radial memoization stays hot.
-    """
-    nr = mesh.rho.size
-    rho_col = mesh.rho[:, None]
-    jac = mesh.rho_weight[:, None]
-    nb = max(1, CHUNK_ELEMENTS // nr)
-    values = [0.0 + 0.0j for _ in parts]
-    l1 = [0.0 for _ in parts]
-    total_l1 = 0.0
-    n_ang = mesh.ang_mu.size
-    for start in range(0, n_ang, nb):
-        sl = slice(start, start + nb)
-        mu = mesh.ang_mu[sl][None, :]
-        phi = mesh.ang_phi[sl][None, :]
-        w = jac * mesh.ang_weight[sl][None, :]
-        fv = f.values(rho_col, mu, phi)
-        g_sum = None
-        for j, v in enumerate(parts):
-            vv = v.values(rho_col, mu, phi)
-            g = np.sum(np.conjugate(vv) * fv, axis=-1)
-            values[j] += complex(np.sum(g * w))
-            l1[j] += float(np.sum(np.abs(g) * w))
-            g_sum = g if g_sum is None else g_sum + g
-        total_l1 += float(np.sum(np.abs(g_sum) * w))
-    return values, l1, total_l1
+def _meshes(q: QuadratureSpec, leaves, entries, r_bounds=None):
+    """Coarse and fine mesh for the sum of the row leaves against the sum of
+    the column leaves, which covers the phases and extents of every entry."""
+    rows = functools.reduce(operator.add, [leaves[i] for i in sorted({i for i, _ in entries})])
+    cols = functools.reduce(operator.add, [leaves[j] for j in sorted({j for _, j in entries})])
+    return build_mesh(q, rows, cols, r_bounds), build_mesh(q.refined(), rows, cols, r_bounds)
 
 
-def pair(
-    v: PhotonWaveFunction,
-    f: PhotonWaveFunction,
-    quadrature: QuadratureSpec | None = None,
-    r_bounds=None,
-) -> PairingResult:
-    """<v, f> with two-level refinement; raises when the levels disagree
-    beyond the spec tolerances or the integrand is non-integrable at 0."""
-    q = quadrature if quadrature is not None else QuadratureSpec()
-    if r_bounds is None:
-        check_integrable(v, f)
-    coarse = build_mesh(q, v, f, r_bounds)
-    fine = build_mesh(q.refined(), v, f, r_bounds)
-    (val_c,), _, _ = _accumulate(coarse, [v], f)
-    (val_f,), (l1_f,), _ = _accumulate(fine, [v], f)
-    err = abs(val_f - val_c)
-    tol = max(q.abs_tol, q.rel_tol * max(l1_f, abs(val_f)))
-    if err > tol:
-        raise ToleranceNotMet(
-            f"two-level refinement disagrees by {err:.3e} "
-            f"(tolerance {tol:.3e}, scale {l1_f:.3e})"
-        )
-    return PairingResult(
-        value=val_f,
-        error_estimate=err,
-        scale=l1_f,
-        node_count=coarse.node_count + fine.node_count,
-    )
-
-
-def _accumulate_gram(mesh: _Mesh, leaves, entries):
+def _accumulate(mesh: _Mesh, leaves, entries):
     """Value and L1 mass of <leaves[i], leaves[j]> for each (i, j) in
-    ``entries`` on one mesh, evaluating every leaf once per chunk.
+    ``entries`` on one mesh, and the L1 mass of the entries' summed integrand.
 
-    The chunk holds all leaves at once, so its angular width is divided by
-    their number: the chunk's arrays then take no more memory than the two
-    operands of one `_accumulate` product.  Leaves are held component-first,
-    so the three-term dot runs on contiguous arrays; it adds the components
-    in the order `_accumulate`'s sum does."""
+    Each leaf is evaluated once per chunk however many entries it enters.  The
+    chunk's angular width is divided by the number of leaves it holds, at
+    least two, so a chunk takes no more memory than the two operands of one
+    pairing.  Leaves are held component-first, so the three-term dot runs on
+    contiguous arrays.  The rho array object is reused across chunks so the
+    wavefunctions' radial memoization stays hot."""
     used = sorted({k for entry in entries for k in entry})
     rows = sorted({i for i, _ in entries})
     nr = mesh.rho.size
     rho_col = mesh.rho[:, None]
     jac = mesh.rho_weight[:, None]
-    nb = max(1, CHUNK_ELEMENTS // (nr * len(used)))
+    nb = max(1, CHUNK_ELEMENTS // (nr * max(2, len(used))))
     values = [0.0 + 0.0j for _ in entries]
     l1 = [0.0 for _ in entries]
+    total_l1 = 0.0
     for start in range(0, mesh.ang_mu.size, nb):
         sl = slice(start, start + nb)
         mu = mesh.ang_mu[sl][None, :]
@@ -216,6 +156,7 @@ def _accumulate_gram(mesh: _Mesh, leaves, entries):
         w = jac * mesh.ang_weight[sl][None, :]
         vals = {k: np.moveaxis(leaves[k].values(rho_col, mu, phi), -1, 0).copy() for k in used}
         conj = {i: np.conjugate(vals[i]) for i in rows}
+        g_sum = None
         for e, (i, j) in enumerate(entries):
             a, b = conj[i], vals[j]
             g = a[0] * b[0]
@@ -223,27 +164,27 @@ def _accumulate_gram(mesh: _Mesh, leaves, entries):
             g += a[2] * b[2]
             values[e] += complex(np.sum(g * w))
             l1[e] += float(np.sum(np.abs(g) * w))
-    return values, l1
+            g_sum = g if g_sum is None else g_sum + g
+        total_l1 += float(np.sum(np.abs(g_sum) * w))
+    return values, l1, total_l1
 
 
-def gram(leaves, entries, quadrature: QuadratureSpec | None = None) -> dict:
+def gram(leaves, entries, quadrature: QuadratureSpec | None = None, r_bounds=None) -> dict:
     """<leaves[i], leaves[j]> for each wanted (i, j), keyed by (i, j).
 
-    One coarse and one fine mesh serve every entry.  They are sized as `pair`
-    would size them for the sum of the row leaves against the sum of the
-    column leaves, which covers the phases and extents of every entry.  Each leaf is evaluated once per mesh however many entries it enters, and
-    each entry passes the same two-level check as `pair`, with its own L1
-    mass as ``scale``."""
+    One coarse and one fine mesh (`_meshes`) serve every entry, and each leaf
+    is evaluated once per chunk however many entries it enters.  Each entry
+    passes the two-level check: the levels may disagree by at most the spec
+    tolerances, against the entry's own L1 mass, reported as ``scale``.
+    Without ``r_bounds`` every entry must also be integrable at k = 0."""
     q = quadrature if quadrature is not None else QuadratureSpec()
     entries = list(entries)
-    for i, j in entries:
-        check_integrable(leaves[i], leaves[j])
-    rows = functools.reduce(operator.add, [leaves[i] for i in sorted({i for i, _ in entries})])
-    cols = functools.reduce(operator.add, [leaves[j] for j in sorted({j for _, j in entries})])
-    coarse = build_mesh(q, rows, cols)
-    fine = build_mesh(q.refined(), rows, cols)
-    vals_c, _ = _accumulate_gram(coarse, leaves, entries)
-    vals_f, l1_f = _accumulate_gram(fine, leaves, entries)
+    if r_bounds is None:
+        for i, j in entries:
+            check_integrable(leaves[i], leaves[j])
+    coarse, fine = _meshes(q, leaves, entries, r_bounds)
+    vals_c, _, _ = _accumulate(coarse, leaves, entries)
+    vals_f, l1_f, _ = _accumulate(fine, leaves, entries)
     out = {}
     for entry, val_c, val_f, l1 in zip(entries, vals_c, vals_f, l1_f):
         err = abs(val_f - val_c)
@@ -260,6 +201,19 @@ def gram(leaves, entries, quadrature: QuadratureSpec | None = None) -> dict:
             node_count=coarse.node_count + fine.node_count,
         )
     return out
+
+
+def pair(
+    v: PhotonWaveFunction,
+    f: PhotonWaveFunction,
+    quadrature: QuadratureSpec | None = None,
+    r_bounds=None,
+) -> PairingResult:
+    """<v, f> with two-level refinement, as a one-entry `gram`; raises when
+    the levels disagree beyond the spec tolerances or the integrand is
+    non-integrable at 0."""
+    leaves, entry = ((v,), (0, 0)) if v is f else ((v, f), (0, 1))
+    return gram(leaves, [entry], quadrature, r_bounds)[entry]
 
 
 def _forward_cone_guard(fields: TestFieldPair):
@@ -325,18 +279,14 @@ def limit_T_study(
         raise ValueError("T_list must be ascending")
     q = quadrature if quadrature is not None else QuadratureSpec()
     f = photon_wavefunction(fields)
+    entries = [(0, 3), (1, 3), (2, 3)]
     rows = []
     for T in T_values:
-        parts = [
-            term_wavefunction(params, "vhat", T),
-            term_wavefunction(params, "term2", T),
-            term_wavefunction(params, "term3", T),
-        ]
-        meta = term_wavefunction(params, "total", T)
-        coarse = build_mesh(q, meta, f)
-        fine = build_mesh(q.refined(), meta, f)
-        vals_c, _, _ = _accumulate(coarse, parts, f)
-        vals_f, _, total_l1 = _accumulate(fine, parts, f)
+        leaves = [term_wavefunction(params, which, T) for which in ("vhat", "term2", "term3")]
+        leaves.append(f)
+        coarse, fine = _meshes(q, leaves, entries)
+        vals_c, _, _ = _accumulate(coarse, leaves, entries)
+        vals_f, _, total_l1 = _accumulate(fine, leaves, entries)
         total_c = sum(vals_c)
         total_f = sum(vals_f)
         rows.append(

@@ -160,8 +160,10 @@ def adjoint(w: WeylElement) -> WeylElement:
 def apply_automorphism(
     auto: CoherentAutomorphism, w: WeylElement, quadrature: QuadratureSpec | None = None
 ) -> WeylElement:
-    """Same label, phase shifted by -2 Im<-i v, f> = -2 Re<v, f>."""
-    shift = -2.0 * pair(auto.profile, w.label, quadrature).value.real
+    """Same label, phase shifted by -2 Im<-i v, f> = -2 Re<v, f>, with
+    <v, f> = sum_i c_i <v, f_i> over the label's leaves from one Gram pass."""
+    g = _leaf_gram([auto.profile], [f for f, _ in w.coeffs], quadrature)
+    shift = -2.0 * sum(c * g.values[id(auto.profile), id(f)] for f, c in w.coeffs).real
     return WeylElement(w.label, w.phase + shift, w.coeffs, w.gram)
 
 

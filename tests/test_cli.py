@@ -213,8 +213,8 @@ def test_study_with_nothing_to_check_rejected(tmp_path, capsys, study, fragment)
 
 @pytest.mark.parametrize(
     "centers",
-    ["", "    centers: [[0.0, 0.0, 0.0, 4.0]]\n",
-     "    centers: [[0.0, 0.0, 0.0, 4.0], [0.0, 0.0, 0.0, -4.0], [1.0, 0.0, 0.0, 0.0]]\n"],
+    ["", "        centers: [[0.0, 0.0, 0.0, 4.0]]\n",
+     "        centers: [[0.0, 0.0, 0.0, 4.0], [0.0, 0.0, 0.0, -4.0], [1.0, 0.0, 0.0, 0.0]]\n"],
     ids=["missing", "one", "three"],
 )
 def test_locality_configuration_needs_two_centers(tmp_path, capsys, centers):
@@ -226,3 +226,30 @@ def test_locality_configuration_needs_two_centers(tmp_path, capsys, centers):
     rc = cli.run(write_config(tmp_path, text), str(tmp_path / "o"))
     assert rc == 2
     assert "studies[0].configurations[1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "study, key",
+    [
+        ("  - name: huyghens\n    field: probe\n    T_list:\n    include_v_hat: true\n", "T_list"),
+        ("  - name: ir-divergence\n    sigma_grid: [1.0e-2, small]\n", "sigma_grid"),
+        ("  - name: limit-T\n    field: probe\n    decay_pair: [1.0]\n", "decay_pair"),
+        ("  - name: superselection-slope\n    pairs: [[[0.0, 0.0, 0.3], [0.0, 0.1]]]\n", "pairs"),
+        ("  - name: wave-appendix\n    t_list: 2.0\n", "t_list"),
+    ],
+    ids=["null-T_list", "word-in-sigma_grid", "one-decay-time", "short-velocity", "scalar-t_list"],
+)
+def test_malformed_list_option_rejected(tmp_path, capsys, study, key):
+    text = MINI_CONFIG.split("studies:")[0] + "studies:\n  - name: difference-norm\n" + study
+    rc = cli.run(write_config(tmp_path, text), str(tmp_path / "o"))
+    assert rc == 2
+    assert f"studies[1].{key}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_unknown_study_option_rejected(tmp_path, capsys):
+    text = "studies:\n  - name: weyl-laws\n    n_labels: 3\n    tolernce: 1.0e-10\n"
+    rc = cli.run(write_config(tmp_path, text), str(tmp_path / "o"))
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "studies[0]" in err and "'tolernce'" in err

@@ -8,6 +8,7 @@ from softcone.errors import (
     SupportNotInForwardCone,
     ToleranceNotMet,
 )
+from softcone import pairing
 from softcone.pairing import (
     PairingResult,
     build_mesh,
@@ -97,6 +98,59 @@ def test_gram_refinement_guard_fires():
     )
     with pytest.raises(ToleranceNotMet, match=r"Gram entry \(0, 1\)"):
         gram([f, g], [(0, 1)], bad)
+
+
+def test_pair_with_itself_evaluates_each_chunk_once(quad, forward_probe):
+    # both slots of <v, v> read one evaluation, so v's evaluator sees every
+    # angular node of the coarse and the fine mesh exactly once
+    wf = photon_wavefunction(forward_probe)
+    seen = {}
+
+    def counting(rho, mu, phi):
+        seen[np.size(rho)] = seen.get(np.size(rho), 0) + np.size(mu)
+        return wf.evaluator(rho, mu, phi)
+
+    v = replace(wf, evaluator=counting)
+    pair(v, v, quad)
+    want = {}
+    for mesh in (build_mesh(quad, wf, wf), build_mesh(quad.refined(), wf, wf)):
+        want[mesh.rho.size] = mesh.ang_mu.size
+    assert seen == want
+
+
+def test_pair_is_a_one_entry_gram(params, quad, forward_probe):
+    # several chunks per mesh, so a different chunk width would move the sums
+    v = profile_wavefunction(params, "v_hat_T", T=10.0)
+    f = photon_wavefunction(forward_probe)
+    mesh = build_mesh(quad, v, f)
+    assert mesh.node_count > pairing.CHUNK_ELEMENTS
+    assert pair(v, f, quad) == gram((v, f), [(0, 1)], quad)[(0, 1)]
+
+
+@pytest.mark.parametrize("w", [(0.0, 0.0, 0.3), (0.2, 0.1, 0.2), (0.0, 0.0, 0.0)],
+                         ids=["on-axis", "off-axis", "at-rest"])
+def test_limit_T_meshes_are_those_of_the_total_profile(quad, forward_probe, monkeypatch, w):
+    # the sum of v_hat, term2 and term3 carries the phase terms and extents
+    # of the windowed profile, so it sizes the same meshes
+    params = DressingParams(w=w)
+    meshes = []
+
+    def spy(mesh, leaves, entries):
+        meshes.append(mesh)
+        return [0j] * 3, [0.0] * 3, 0.0
+
+    monkeypatch.setattr(pairing, "_accumulate", spy)
+    T_list = (1.0, 10.0, 100.0)
+    limit_T_study(params, forward_probe, T_list, quad)
+    f = photon_wavefunction(forward_probe)
+    want = []
+    for T in T_list:
+        total = profile_wavefunction(params, "v_hat_T", T=T)
+        want += [build_mesh(quad, total, f), build_mesh(quad.refined(), total, f)]
+    assert len(meshes) == len(want)
+    for got, ref in zip(meshes, want):
+        for name in ("rho", "rho_weight", "ang_mu", "ang_phi", "ang_weight"):
+            assert np.array_equal(getattr(got, name), getattr(ref, name))
 
 
 def test_build_mesh_respects_truncation(quad, forward_probe):

@@ -212,6 +212,21 @@ def test_state_phase_ratio_matches_inner_phase_difference(params, quad, forward_
     assert phase_distance(float(np.angle(z / z_slow)), dl) <= 1e-6
 
 
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_automorphism_shift_matches_pairing_of_composed_label(params, labels, shared_quad, length):
+    # the shift sums c_i <v, f_i> over the word's leaves; pairing the composed
+    # label instead must give the same number
+    diff = profile_wavefunction(params, "v_limit") - profile_wavefunction(params, "v_hat")
+    auto = CoherentAutomorphism(diff)
+    w = labels[0]
+    for nxt in (labels[1], adjoint(labels[2]))[: length - 1]:
+        w = multiply(w, nxt, shared_quad)
+    assert len(w.coeffs) == length
+    shift = apply_automorphism(auto, w, shared_quad).phase - w.phase
+    want = -2.0 * pair(diff, w.label, shared_quad).value.real
+    assert phase_distance(shift, want) <= 1e-12 * abs(want)
+
+
 def test_automorphism_distributes_over_product(params, labels, shared_quad):
     diff = profile_wavefunction(params, "v_limit") - profile_wavefunction(params, "v_hat")
     auto = CoherentAutomorphism(diff)
