@@ -201,12 +201,17 @@ FLAG = (lambda x: True, "")
 NAME = (lambda x: x is None or isinstance(x, str), "a field name")
 NUMBER = (_is_number, "a number")
 NUMBERS = (_is_numbers, "a list of numbers")
+SOME_NUMBERS = (lambda x: _is_numbers(x) and len(x) > 0, "a non-empty list of numbers")
+# a slope or a spread through one point fits nothing
+SIGMAS = (lambda x: _is_numbers(x) and len({float(v) for v in x}) >= 2,
+          "a list of at least two distinct numbers")
 # The options each study reads, with the check its value must pass.
 STUDY_OPTIONS = {
-    "ir-divergence": {"speeds": NUMBERS, "sigma_grid": NUMBERS, "slope_rtol": NUMBER},
-    "superselection-slope": {"pairs": (_is_velocity_pairs, "a list of pairs of 3-vectors"),
-                             "sigma_grid": NUMBERS, "slope_rtol": NUMBER},
-    "difference-norm": {"sigma_probes": NUMBERS, "cauchy_rtol": NUMBER},
+    "ir-divergence": {"speeds": SOME_NUMBERS, "sigma_grid": SIGMAS, "slope_rtol": NUMBER},
+    "superselection-slope": {"pairs": (lambda x: _is_velocity_pairs(x) and len(x) > 0,
+                                       "a non-empty list of pairs of 3-vectors"),
+                             "sigma_grid": SIGMAS, "slope_rtol": NUMBER},
+    "difference-norm": {"sigma_probes": SIGMAS, "cauchy_rtol": NUMBER},
     "huyghens": {"field": NAME, "T_list": NUMBERS, "include_v_hat": FLAG, "defect_rtol": NUMBER},
     "limit-T": {"field": NAME, "T_list": NUMBERS, "decay_factor": NUMBER, "region_T": NUMBERS,
                 "decay_pair": (lambda x: _is_numbers(x, (0, 2)), "an empty list or two numbers")},

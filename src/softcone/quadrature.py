@@ -21,8 +21,9 @@ The same composite-Gauss pieces serve the radial transforms elsewhere in the
 package (bump transforms, spectral wave solutions): ``panel_gauss`` builds the
 rule, ``panel_count`` sizes it for a frequency demand, ``freq_bucket`` rounds
 that demand to a power of two so rules can be cached, ``kernel_matvec`` applies
-an oscillatory kernel over the rule in bounded blocks, and ``unit_direction``
-turns (mu, phi) into Cartesian unit vectors.
+an oscillatory kernel over the rule in place on bounded blocks (``sinc_matvec``
+is its sin(z)/z form), and ``unit_direction`` turns (mu, phi) into Cartesian
+unit vectors.
 
 Large oscillation frequencies are handled by scaling panel density linearly
 with the frequency rather than by Filon/Levin weights; this is adequate at desk
@@ -90,21 +91,37 @@ def transform_rule(lo: float, hi: float, freq: float, floor: int):
     return panel_gauss(lo, hi, npanels, TRANSFORM_ORDER)
 
 
-def sinc_kernel(z):
-    """sin(z) / z, regular at z = 0."""
-    return np.sinc(z / math.pi)
-
-
 def kernel_matvec(kernel, x, nodes: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """sum_j kernel(x_i nodes_j) coeff_j for every entry x_i of ``x`` (same
-    shape as ``x``), in blocks of at most KERNEL_CHUNK kernel elements."""
+    """sum_j kernel(x_i nodes_j) coeff_j[...] for every entry x_i of ``x``
+    (shape ``x.shape + coeff.shape[1:]``).  ``kernel`` is a ufunc such as
+    ``np.sin``; it is applied in place on one outer-product block of at most
+    KERNEL_CHUNK elements, and every column of ``coeff`` shares that block."""
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
-    out = np.empty(flat.shape)
+    out = np.empty(flat.shape + coeff.shape[1:])
     step = max(1, KERNEL_CHUNK // max(nodes.size, 1))
+    buf = np.empty((min(step, flat.size), nodes.size))
     for i in range(0, flat.size, step):
-        out[i : i + step] = kernel(np.outer(flat[i : i + step], nodes)) @ coeff
-    return out.reshape(x.shape)
+        xb = flat[i : i + step]
+        blk = np.multiply.outer(xb, nodes, out=buf[: xb.size])
+        kernel(blk, out=blk)
+        out[i : i + step] = blk @ coeff
+    return out.reshape(x.shape + coeff.shape[1:])
+
+
+def sinc_matvec(x, nodes: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+    """sum_j sinc(x_i nodes_j) coeff_j with sinc(z) = sin(z) / z, as
+    (1 / x_i) sum_j sin(x_i nodes_j) (coeff_j / nodes_j), and sum_j coeff_j
+    where x_i = 0.  Needs nodes_j != 0 (transform rules have interior Gauss
+    nodes); ``coeff`` may have trailing columns, as in ``kernel_matvec``."""
+    x = np.asarray(x, dtype=float)
+    out = kernel_matvec(np.sin, x, nodes, (coeff.T / nodes).T)
+    flat = x.reshape(-1)
+    rows = out.reshape(flat.size, math.prod(coeff.shape[1:]))
+    nonzero = flat != 0.0
+    rows[nonzero] /= flat[nonzero, None]
+    rows[~nonzero] = coeff.sum(axis=0)
+    return out
 
 
 def unit_direction(mu, phi):

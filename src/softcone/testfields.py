@@ -30,7 +30,7 @@ from .quadrature import (
     freq_bucket,
     integrate_1d,
     kernel_matvec,
-    sinc_kernel,
+    sinc_matvec,
     transform_rule,
     unit_direction,
 )
@@ -163,7 +163,7 @@ class RadialBumpTransform:
 
     def __call__(self, rho):
         rho = np.asarray(rho, dtype=float)
-        return kernel_matvec(sinc_kernel, rho, *self._rule(_bucket_of(rho)))
+        return sinc_matvec(rho, *self._rule(_bucket_of(rho)))
 
 
 @dataclass(frozen=True)

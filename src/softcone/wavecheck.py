@@ -8,8 +8,9 @@ bump f_i, evaluated through its spectral representation
 
 (R = |x|), which keeps time evolution free of numerical dispersion.  Grid
 studies sample solutions on uniform cubes through a dense radial table with
-4-point cubic interpolation; the table and quadrature rules are regenerated
-deterministically from bucketed frequency demands.  Grid sums of radial
+4-point cubic interpolation; one kernel pass per solution fills the table
+rows of every time a study needs, and the table and quadrature rules are
+regenerated deterministically from bucketed frequency demands.  Grid sums of radial
 integrands visit each distinct grid radius once, weighted by the number of
 grid points at that radius.
 
@@ -32,7 +33,7 @@ from .errors import SoftconeError
 from .geometry import ConeRegion, Point4, double_cone_in_cone
 # perfbench/spans.py reads _bucket and the WaveSolution._rules it keys
 from .quadrature import freq_bucket as _bucket
-from .quadrature import kernel_matvec, sinc_kernel, transform_rule
+from .quadrature import sinc_matvec, transform_rule
 from .testfields import (
     BumpProfile,
     RadialBumpTransform,
@@ -70,18 +71,26 @@ class WaveSolution:
             self._rules[bucket] = rule
         return rule
 
+    def _radial_columns(self, times, radii: np.ndarray, derivative: int = 0):
+        """g (or exactly d/dt g for derivative=1) at radius samples, one column
+        per entry of ``times`` (shape radii.shape + (len(times),)), from one
+        kernel pass on the rule of the batch's largest |t|."""
+        if derivative not in (0, 1):
+            raise ValueError("derivative must be 0 or 1")
+        radii = np.asarray(radii, dtype=float)
+        taus = np.asarray(times, dtype=float)
+        reach = float(np.max(np.abs(taus), initial=0.0))
+        rho, coeff = self._rule(_bucket(float(np.max(radii, initial=0.0)) + reach))
+        phase = np.multiply.outer(rho, taus)
+        if derivative == 0:
+            tcoeff = coeff[:, None] * np.sin(phase)
+        else:
+            tcoeff = (coeff * rho)[:, None] * np.cos(phase)
+        return sinc_matvec(radii, rho, tcoeff)
+
     def radial_values(self, t: float, radii: np.ndarray, derivative: int = 0):
         """g (or exactly d/dt g for derivative=1) at radius samples."""
-        radii = np.asarray(radii, dtype=float)
-        tau = float(t)
-        rho, coeff = self._rule(_bucket(float(np.max(radii, initial=0.0)) + abs(tau)))
-        if derivative == 0:
-            tcoeff = coeff * np.sin(rho * tau)
-        elif derivative == 1:
-            tcoeff = coeff * rho * np.cos(rho * tau)
-        else:
-            raise ValueError("derivative must be 0 or 1")
-        return kernel_matvec(sinc_kernel, radii, rho, tcoeff)
+        return self._radial_columns((float(t),), radii, derivative)[..., 0]
 
     @property
     def support_radius(self) -> float:
@@ -127,25 +136,28 @@ def sample_grid(ws: WaveSolution, t: float, extent: float, spacing: float) -> Gr
     ax = _grid_axis(extent, spacing)
     if ax.size**3 > 40_000_000:
         raise SoftconeError("grid too large to materialize; use the study drivers")
-    table = _RadialTable(ws, t, extent, spacing)
+    table = _RadialTable(ws, (t,), extent, spacing)
     vals = np.empty((ax.size,) * 3)
     for iz, z in enumerate(ax):
         rr = np.sqrt(ax[:, None] ** 2 + ax[None, :] ** 2 + z * z)
-        vals[:, :, iz] = table(rr)
+        vals[:, :, iz] = table(rr)[0]
     return GridField(extent, spacing, vals, float(t))
 
 
 class _RadialTable:
-    """Dense radial samples of a solution with cubic 4-point interpolation."""
+    """Dense radial samples of a solution at several times, one row per time,
+    with cubic 4-point interpolation."""
 
-    def __init__(self, ws: WaveSolution, t: float, extent: float, spacing: float):
+    def __init__(self, ws: WaveSolution, times, extent: float, spacing: float):
         self.step = spacing / TABLE_REFINE
         rmax = 0.5 * extent * math.sqrt(3.0) + 4.0 * self.step
         n = int(math.ceil(rmax / self.step)) + 4
-        self.table = ws.radial_values(t, self.step * np.arange(n))
+        self.rows = ws._radial_columns(times, self.step * np.arange(n)).T.copy()
         self.n = n
 
     def __call__(self, radii: np.ndarray) -> np.ndarray:
+        """Interpolated values, shape (len(times),) + radii.shape; the cubic
+        weights are built once for all times."""
         s = np.asarray(radii, dtype=float) / self.step
         j = np.clip(s.astype(int), 1, self.n - 3)
         u = s - j
@@ -154,8 +166,10 @@ class _RadialTable:
         w1 = um * u1 * u2 / 2.0
         w2 = -um * u * u2 / 2.0
         w3 = um * u * u1 / 6.0
-        t = self.table
-        return w0 * t[j - 1] + w1 * t[j] + w2 * t[j + 1] + w3 * t[j + 2]
+        out = np.empty((len(self.rows),) + s.shape)
+        for o, t in zip(out, self.rows):
+            o[...] = w0 * t[j - 1] + w1 * t[j] + w2 * t[j + 1] + w3 * t[j + 2]
+        return out
 
 
 def _radius_classes(ax: np.ndarray):
@@ -214,16 +228,15 @@ def symplectic_time_invariance(
     cell = spacing**3
     rows = []
     scale = 0.0
-    for t in t_values:
-        tables = {
-            (which, shift): _RadialTable(ws, t + shift * dt, extent, spacing)
-            for which, ws in (("a", ws1), ("b", ws2))
-            for shift in (-1, 0, 1)
-        }
-        wa = tables[("a", 0)](rr)
-        wb = tables[("b", 0)](rr)
-        da = (tables[("a", 1)](rr) - tables[("a", -1)](rr)) / (2.0 * dt)
-        db = (tables[("b", 1)](rr) - tables[("b", -1)](rr)) / (2.0 * dt)
+    # one table per solution, rows (t - dt, t, t + dt) for each sample time
+    times = [t + shift * dt for t in t_values for shift in (-1, 0, 1)]
+    va, vb = (
+        _RadialTable(ws, times, extent, spacing)(rr).reshape(len(t_values), 3, rr.size)
+        for ws in (ws1, ws2)
+    )
+    for t, (am, wa, ap), (bm, wb, bp) in zip(t_values, va, vb):
+        da = (ap - am) / (2.0 * dt)
+        db = (bp - bm) / (2.0 * dt)
         s_val = float(np.sum(count * (wa * db - da * wb))) * cell
         s_scale = float(np.sum(count * (np.abs(wa * db) + np.abs(da * wb)))) * cell
         rows.append((t, s_val))
@@ -251,7 +264,7 @@ def mass_outside_cone(
         spacing = r / 16.0
     _check_resolution(ws, spacing)
     rr, count = _radius_classes(_grid_axis(extent, spacing))
-    mass = count * np.abs(_RadialTable(ws, t, extent, spacing)(rr))
+    mass = count * np.abs(_RadialTable(ws, (t,), extent, spacing)(rr)[0])
     outside = float(np.sum(mass[rr > r + tau]))
     total = float(np.sum(mass))
     return outside / total if total > 0 else 0.0
@@ -293,7 +306,7 @@ def bj_support_check(fields: TestFieldPair, probe_radius: float) -> float:
             * tt(rho)
             * st(rho)
         )
-        h_scalar = kernel_matvec(sinc_kernel, radii, rho, w * rho * rho * radial)
+        h_scalar = sinc_matvec(radii, rho, w * rho * rho * radial)
         h_vec += h_scalar[:, None] * np.asarray(term.direction)
 
     density = radii * radii * np.sum(h_vec * h_vec, axis=-1)

@@ -212,6 +212,27 @@ def test_study_with_nothing_to_check_rejected(tmp_path, capsys, study, fragment)
 
 
 @pytest.mark.parametrize(
+    "study, key",
+    [
+        ("  - name: ir-divergence\n    speeds: []\n", "speeds"),
+        ("  - name: superselection-slope\n    pairs: []\n", "pairs"),
+        ("  - name: ir-divergence\n    sigma_grid: [1.0e-3]\n", "sigma_grid"),
+        ("  - name: superselection-slope\n    sigma_grid: [1.0e-3, 0.001]\n", "sigma_grid"),
+        ("  - name: difference-norm\n    sigma_probes: [1.0e-2]\n", "sigma_probes"),
+    ],
+    ids=["no-speeds", "no-pairs", "one-sigma", "one-distinct-sigma", "one-probe"],
+)
+def test_study_with_nothing_to_fit_rejected(tmp_path, capsys, study, key):
+    # a slope or a spread needs two distinct points, and a study over no
+    # speeds or pairs runs no check at all
+    text = MINI_CONFIG.split("studies:")[0] + "studies:\n" + study
+    rc = cli.run(write_config(tmp_path, text), str(tmp_path / "o"))
+    assert rc == 2
+    assert f"studies[0].{key}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
     "centers",
     ["", "        centers: [[0.0, 0.0, 0.0, 4.0]]\n",
      "        centers: [[0.0, 0.0, 0.0, 4.0], [0.0, 0.0, 0.0, -4.0], [1.0, 0.0, 0.0, 0.0]]\n"],

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from softcone.errors import ToleranceNotMet
+from softcone import quadrature
 from softcone.quadrature import (
     KERNEL_CHUNK,
     QuadratureSpec,
@@ -15,7 +16,8 @@ from softcone.quadrature import (
     panel_count,
     panel_gauss,
     radial_mesh,
-    sinc_kernel,
+    sinc_matvec,
+    transform_rule,
     unit_direction,
 )
 
@@ -130,10 +132,61 @@ def test_kernel_matvec_chunks_match_one_product():
     coeff = np.cos(nodes) * np.exp(-nodes)
     n = 3 * (KERNEL_CHUNK // nodes.size) - 17   # three blocks, the last partial
     x = np.linspace(0.0, 40.0, n).reshape(-1, 1)
-    got = kernel_matvec(sinc_kernel, x, nodes, coeff)
-    want = sinc_kernel(np.outer(x.ravel(), nodes)) @ coeff
+    got = sinc_matvec(x, nodes, coeff)
+    want = np.sinc(np.outer(x.ravel(), nodes) / math.pi) @ coeff
     assert got.shape == x.shape
     assert np.max(np.abs(got.ravel() - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def _kernel_case():
+    nodes, w = transform_rule(0.0, 2.0, 64.0, 4)  # interior Gauss nodes
+    coeff = w * np.exp(-nodes) * np.cos(3.0 * nodes)
+    x = np.concatenate(([0.0, 1e-12], np.linspace(0.5, 400.0, 801)))
+    return x, nodes, coeff
+
+
+def test_sinc_matvec_matches_numpy_sinc():
+    x, nodes, coeff = _kernel_case()
+    got = sinc_matvec(x, nodes, coeff)
+    want = np.sinc(np.outer(x, nodes) / math.pi) @ coeff
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(coeff))
+    assert got[0] == np.sum(coeff)
+
+
+def test_kernel_columns_match_one_column_calls():
+    x, nodes, coeff = _kernel_case()
+    cols = np.stack([coeff, -nodes * coeff], axis=1)
+    xx = x[:-1].reshape(-1, 2)
+    for apply in (lambda c: kernel_matvec(np.cos, xx, nodes, c),
+                  lambda c: sinc_matvec(xx, nodes, c)):
+        both = apply(cols)
+        assert both.shape == xx.shape + (2,)
+        for k in range(2):
+            tol = 1e-15 * np.sum(np.abs(cols[:, k]))
+            assert np.max(np.abs(both[..., k] - apply(cols[:, k]))) <= tol
+
+
+def test_kernel_chunks_match_one_block(monkeypatch):
+    x, nodes, coeff = _kernel_case()
+    cols = np.stack([coeff, -nodes * coeff], axis=1)
+    one = [sinc_matvec(x, nodes, c) for c in (coeff, cols)]
+    assert x.size * nodes.size <= KERNEL_CHUNK
+    # blocks of 7 rows, the last one partial
+    monkeypatch.setattr(quadrature, "KERNEL_CHUNK", 7 * nodes.size + 3)
+    for c, want in zip((coeff, cols), one):
+        got = sinc_matvec(x, nodes, c)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.sum(np.abs(c))
+
+
+def test_kernels_leave_their_inputs_alone():
+    x, nodes, coeff = _kernel_case()
+    cols = np.stack([coeff, -coeff], axis=1)
+    saved = [a.copy() for a in (x, nodes, coeff, cols)]
+    sinc_matvec(x, nodes, coeff)
+    sinc_matvec(x, nodes, cols)
+    kernel_matvec(np.sin, x, nodes, cols)
+    for a, b in zip((x, nodes, coeff, cols), saved):
+        assert np.array_equal(a, b)
 
 
 def test_freq_bucket_powers_of_two_with_floor_4():

@@ -9,6 +9,7 @@ from softcone.quadrature import QuadratureSpec
 from softcone.testfields import BumpProfile, SeparableTerm, TestFieldPair
 from softcone.wavecheck import (
     WaveSolution,
+    _RadialTable,
     _grid_axis,
     _radius_classes,
     bj_support_check,
@@ -106,6 +107,44 @@ def test_symplectic_extent_guard(solution):
     other = WaveSolution(BumpProfile(0.0, 0.4))
     with pytest.raises(SoftconeError):
         symplectic_time_invariance(solution, other, (0.0, 3.0), extent=4.0)
+
+
+def test_batched_table_rows_equal_per_time_values(solution):
+    # every time shares the bucket of the batch: 4 < max radius + |t| <= 8
+    times = (0.3, 1.2, -0.7, 1.9)
+    table = _RadialTable(solution, times, extent=6.0, spacing=0.5 / 16)
+    radii = table.step * np.arange(table.n)
+    assert 4.0 < radii[-1] + 0.3 and radii[-1] + 1.9 <= 8.0
+    for row, t in zip(table.rows, times):
+        want = solution.radial_values(t, radii)
+        assert np.max(np.abs(row - want)) <= 1e-14 * np.max(np.abs(want))
+    slopes = solution._radial_columns(times, radii, derivative=1)
+    for k, t in enumerate(times):
+        want = solution.radial_values(t, radii, derivative=1)
+        assert np.max(np.abs(slopes[:, k] - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _central_difference_gap(ws, times, t, dt):
+    """Worst gap, relative to the peak, between the exact time derivative at
+    the grid's radius classes and the central difference of the table rows
+    for ``times``, taken as (t - dt, t + dt)."""
+    extent, spacing = 4.0, 0.5 / 16
+    radii, _ = _radius_classes(_grid_axis(extent, spacing))
+    before, after = _RadialTable(ws, times, extent, spacing)(radii)
+    exact = ws.radial_values(t, radii, derivative=1)
+    return np.max(np.abs((after - before) / (2.0 * dt) - exact)) / np.max(np.abs(exact))
+
+
+def test_table_rows_difference_to_the_time_derivative(solution):
+    t, dt = 1.0, 1e-3
+    assert _central_difference_gap(solution, (t - dt, t + dt), t, dt) <= 1e-3
+
+
+def test_table_rows_difference_check_fails_on_swapped_rows(solution):
+    # negative control: the drift witness cannot see a wrong row order
+    # (S vanishes by symmetry), this check must
+    t, dt = 1.0, 1e-3
+    assert _central_difference_gap(solution, (t + dt, t - dt), t, dt) > 1.0
 
 
 @pytest.mark.parametrize("extent,spacing", [(2.0, 0.125), (2.3, 0.1), (1.7, 0.3)])
