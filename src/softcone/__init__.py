@@ -19,7 +19,6 @@ from .geometry import (
 )
 from .pairing import (
     PairingResult,
-    huyghens_defect,
     huyghens_report,
     lemma1_phase,
     limit_T_study,
@@ -38,12 +37,10 @@ from .photon import (
 from .profiles import (
     DressingParams,
     angular_factor,
-    difference_norm_squared,
     evaluate,
     pairwise_angular_factor,
     pairwise_divergence_slope,
     profile_wavefunction,
-    shell_norm_squared,
     term_wavefunction,
     v_hat_T_direct,
 )
@@ -53,7 +50,6 @@ from .testfields import (
     SeparableTerm,
     TestFieldPair,
     fourier_transform_1d,
-    make_bump,
     photon_wavefunction,
 )
 from .wavecheck import (

@@ -224,20 +224,6 @@ def _forward_cone_guard(fields: TestFieldPair):
         )
 
 
-def huyghens_defect(
-    params: DressingParams,
-    fields: TestFieldPair,
-    kind: str = "v_hat",
-    quadrature: QuadratureSpec | None = None,
-    T: float | None = None,
-) -> float:
-    """Im<-i v, f_photon> for a forward-cone-localized test field.
-
-    Vanishing of this number (up to quadrature) is the statement that the
-    dressing automorphism acts trivially on forward-cone observables."""
-    return huyghens_report(params, fields, kind, quadrature, T)["defect"]
-
-
 def huyghens_report(
     params: DressingParams,
     fields: TestFieldPair,

@@ -280,38 +280,6 @@ def v_hat_T_direct(params: DressingParams, T: float, k) -> np.ndarray:
     return coeff * transverse_project(khat, params.w_vec)
 
 
-def shell_norm_squared(params: DressingParams, sigma_lo: float, quadrature=None) -> float:
-    """Squared norm of the full-shell profile restricted to [sigma_lo, kappa].
-
-    Grows like alpha * A(|w|) * ln(kappa / sigma_lo) as sigma_lo -> 0.
-    """
-    if not (0.0 < sigma_lo < params.kappa):
-        raise ValueError("sigma_lo must lie strictly between 0 and kappa")
-    from . import pairing
-
-    v = profile_wavefunction(params, "v_limit")
-    res = pairing.pair(v, v, quadrature, r_bounds=(sigma_lo, params.kappa))
-    return float(res.value.real)
-
-
-def difference_norm_squared(
-    params: DressingParams, sigma_probe: float, quadrature=None
-) -> float:
-    """Squared norm of (full shell - smooth window) above sigma_probe.
-
-    Stays bounded as sigma_probe -> 0 exactly when g_scale = 1 (the infrared
-    tails cancel); otherwise it grows logarithmically."""
-    if not (sigma_probe > 0):
-        raise ValueError("sigma_probe must be positive")
-    from . import pairing
-
-    diff = profile_wavefunction(params, "v_limit") - profile_wavefunction(params, "v_hat")
-    res = pairing.pair(
-        diff, diff, quadrature, r_bounds=(sigma_probe, diff.truncation_radius)
-    )
-    return float(res.value.real)
-
-
 def pairwise_divergence_slope(
     params: DressingParams,
     w_first,

@@ -72,11 +72,6 @@ class BumpProfile:
         return (self.center - self.halfwidth, self.center + self.halfwidth)
 
 
-def make_bump(center: float, halfwidth: float, amplitude: float = 1.0) -> BumpProfile:
-    """Bump factory; rejects nonpositive halfwidths."""
-    return BumpProfile(center, halfwidth, amplitude)
-
-
 def fourier_transform_1d(b: BumpProfile, omega: float) -> complex:
     """(2 pi)^(-1/2) int e^(-i omega t) b(t) dt by panel-doubling quadrature
     on the support interval (relative tolerance 1e-10)."""

@@ -270,27 +270,29 @@ def mass_outside_cone(
     return outside / total if total > 0 else 0.0
 
 
-def bj_support_check(fields: TestFieldPair, probe_radius: float) -> float:
+def bj_support_check(fields: TestFieldPair, probe_radii) -> list:
     """L2 mass fraction of the position-space image of the cos-weighted
-    on-shell combination of the magnetic channel outside ``probe_radius``.
+    on-shell combination of the magnetic channel outside each probe radius.
 
     For a separable magnetic term a(t) b(|x|) d the combination is
     Re(a~(rho)) b~(rho) d, a radial function; its inverse transform must be
-    supported in the ball of radius (spatial radius + time reach)."""
+    supported in the ball of radius (spatial radius + time reach).  One image,
+    on the grid the largest radius needs, serves every radius."""
     magnetic = [term for term in fields.terms if term.channel == "magnetic"]
     if not magnetic:
         raise ValueError("the pair has no magnetic-channel terms")
     for term in magnetic:
         if any(c != 0.0 for c in term.position):
             raise ValueError("support check requires origin-centered magnetic terms")
-    if not (probe_radius > 0):
-        raise ValueError("probe_radius must be positive")
+    probe_radii = [float(r) for r in probe_radii]
+    if not probe_radii or not all(r > 0 for r in probe_radii):
+        raise ValueError("probe radii must be given and positive")
 
     reach = max(
         term.space.halfwidth + abs(term.time.center) + term.time.halfwidth
         for term in magnetic
     )
-    y_max = 2.0 * max(probe_radius, reach)
+    y_max = 2.0 * max(*probe_radii, reach)
     dy = min(term.space.halfwidth for term in magnetic) / 64.0
     radii = dy * np.arange(int(math.ceil(y_max / dy)) + 1)
 
@@ -311,8 +313,7 @@ def bj_support_check(fields: TestFieldPair, probe_radius: float) -> float:
 
     density = radii * radii * np.sum(h_vec * h_vec, axis=-1)
     total = float(np.sum(density))
-    outside = float(np.sum(density[radii > probe_radius]))
-    return outside / total if total > 0 else 0.0
+    return [float(np.sum(density[radii > r])) / total if total > 0 else 0.0 for r in probe_radii]
 
 
 def lemma_a2_radius_check(

@@ -6,7 +6,7 @@ import sys
 import pytest
 import yaml
 
-from softcone import cli
+from softcone import cli, studies
 
 MINI_CONFIG = """\
 params:
@@ -42,7 +42,7 @@ def write_config(tmp_path, text):
 def test_list_studies_prints_canonical_order(capsys):
     assert cli.main(["list-studies"]) == 0
     out = capsys.readouterr().out.strip().splitlines()
-    assert out == list(cli.STUDY_ORDER)
+    assert out == list(studies.STUDIES)
 
 
 def test_emit_defaults_is_valid_config(capsys):
@@ -50,7 +50,7 @@ def test_emit_defaults_is_valid_config(capsys):
     text = capsys.readouterr().out
     raw = yaml.safe_load(text)
     cfg = cli.ScenarioConfig(raw)
-    assert [s["name"] for s in cfg.studies] == list(cli.STUDY_ORDER)
+    assert [s["name"] for s in cfg.studies] == list(studies.STUDIES)
 
 
 def test_run_mini_config(tmp_path, capsys):
@@ -88,10 +88,11 @@ def test_parse_error_reports_line_number(tmp_path, capsys):
 
 
 def test_unknown_study_rejected(tmp_path, capsys):
-    path = write_config(tmp_path, "studies:\n  - name: nonsense\n")
-    rc = cli.run(path, str(tmp_path / "o"))
-    assert rc == 2
-    assert "unknown study" in capsys.readouterr().err
+    for name in ("nonsense", "[ir-divergence]"):
+        path = write_config(tmp_path, f"studies:\n  - name: {name}\n")
+        rc = cli.run(path, str(tmp_path / "o"))
+        assert rc == 2
+        assert "unknown study" in capsys.readouterr().err
 
 
 def test_duplicate_study_rejected(tmp_path, capsys):
@@ -274,3 +275,22 @@ def test_unknown_study_option_rejected(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "studies[0]" in err and "'tolernce'" in err
+
+
+@pytest.mark.parametrize(
+    "fields, study, key",
+    [
+        ("probe", "  - name: huyghens\n    field: nosuch\n    T_list: [1.0]\n", "field"),
+        ("other", "  - name: huyghens\n    T_list: [1.0]\n", "field"),
+        ("other", "  - name: limit-T\n    T_list: [1.0]\n", "field"),
+        ("probe", "  - name: wave-appendix\n    bj_field: nosuch\n", "bj_field"),
+    ],
+    ids=["named", "huyghens-default-probe", "limit-T-default-probe", "bj_field"],
+)
+def test_undefined_field_rejected(tmp_path, capsys, fields, study, key):
+    head = MINI_CONFIG.split("studies:")[0].replace("  probe:", f"  {fields}:")
+    text = head + "studies:\n  - name: difference-norm\n" + study
+    rc = cli.run(write_config(tmp_path, text), str(tmp_path / "o"))
+    assert rc == 2
+    assert f"studies[1].{key}: no field named" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -13,7 +13,6 @@ from softcone.pairing import (
     PairingResult,
     build_mesh,
     gram,
-    huyghens_defect,
     huyghens_report,
     lemma1_phase,
     limit_T_study,
@@ -72,7 +71,7 @@ def test_pair_refinement_guard_fires():
 def test_gram_entries_match_pair(quad):
     # on a mesh that ignores phase metadata every entry shares pair()'s mesh,
     # so the Gram differs from separate pairings only in summation order
-    from softcone.cli import weyl_quadrature
+    from softcone.studies import weyl_quadrature
 
     q = weyl_quadrature(quad)
     rng = np.random.default_rng(3)
@@ -185,14 +184,12 @@ def test_huyghens_requires_forward_support(params, quad):
 
 
 def test_huyghens_defect_scalar_and_backward_contrast(params, quad, forward_probe):
-    """The scalar defect is the report's defect entry, the support guard
-    covers it too, and for a past-cone field the same pairing is generically
-    of order the pairing scale: the smallness really is a forward-cone fact."""
-    want = huyghens_report(params, forward_probe, "v_hat", quad)["defect"]
-    assert huyghens_defect(params, forward_probe, "v_hat", quad) == want
+    """The support guard rejects a field just inside the past cone, and for
+    it the same pairing is generically of order the pairing scale: the
+    smallness really is a forward-cone fact."""
     near_past = make_field(-1.5, (0.0, 0.0, 0.0), radius=1.0)
     with pytest.raises(SupportNotInForwardCone):
-        huyghens_defect(params, near_past, "v_hat", quad)
+        huyghens_report(params, near_past, "v_hat", quad)
     v = profile_wavefunction(params, "v_hat")
     res = pair(v, photon_wavefunction(near_past), quad)
     # Quadrature-converged at ~0.78 * scale; the loose floor only pins down

@@ -6,15 +6,14 @@ import pytest
 import scipy.integrate
 
 from softcone.errors import PointSingularity
+from softcone.pairing import pair
 from softcone.profiles import (
     DressingParams,
     angular_factor,
-    difference_norm_squared,
     evaluate,
     pairwise_angular_factor,
     pairwise_divergence_slope,
     profile_wavefunction,
-    shell_norm_squared,
     term_wavefunction,
     v_hat_T_direct,
 )
@@ -89,11 +88,15 @@ def test_pairwise_angular_factor_scipy_oracle():
 
 # ---------------------------------------------------------------- shell norms
 
+def shell_norm(v, r_lo, r_hi, quad):
+    """Squared norm of v restricted to the shell [r_lo, r_hi]."""
+    return pair(v, v, quad, r_bounds=(r_lo, r_hi)).value.real
+
+
 def test_shell_norm_logarithmic_divergence(params, quad):
     kappa = params.kappa
-    norms = {
-        s: shell_norm_squared(params, s, quad) for s in (1e-2, 1e-4, 1e-6)
-    }
+    v = profile_wavefunction(params, "v_limit")
+    norms = {s: shell_norm(v, s, kappa, quad) for s in (1e-2, 1e-4, 1e-6)}
     oracle = params.alpha * angular_factor(params.speed)
     for s, n in norms.items():
         assert n == pytest.approx(oracle * math.log(kappa / s), rel=1e-10)
@@ -101,7 +104,7 @@ def test_shell_norm_logarithmic_divergence(params, quad):
 
 def test_shell_norm_zero_velocity(quad):
     p = DressingParams(w=(0.0, 0.0, 0.0))
-    assert shell_norm_squared(p, 1e-4, quad) == 0.0
+    assert shell_norm(profile_wavefunction(p, "v_limit"), 1e-4, p.kappa, quad) == 0.0
 
 
 def test_sharp_profile_rejects_origin(params):
@@ -185,18 +188,21 @@ def test_windowed_remainder_oscillates_without_pointwise_decay(params):
 
 # ---------------------------------------------------------------- difference norms
 
+def difference(params):
+    return profile_wavefunction(params, "v_limit") - profile_wavefunction(params, "v_hat")
+
+
 def test_difference_norm_is_cauchy_for_matched_window(params, quad):
-    norms = [
-        difference_norm_squared(params, s, quad) for s in (1e-2, 1e-4, 1e-6)
-    ]
+    diff = difference(params)
+    norms = [shell_norm(diff, s, diff.truncation_radius, quad) for s in (1e-2, 1e-4, 1e-6)]
     spread = max(norms) - min(norms)
     assert spread <= 0.01 * max(norms)
 
 
 def test_difference_norm_diverges_for_mismatched_window(params, quad):
-    violated = replace(params, g_scale=2.0)
+    diff = difference(replace(params, g_scale=2.0))
     sigmas = (1e-2, 1e-4, 1e-6)
-    norms = [difference_norm_squared(violated, s, quad) for s in sigmas]
+    norms = [shell_norm(diff, s, diff.truncation_radius, quad) for s in sigmas]
     xs = [math.log(1.0 / s) for s in sigmas]
     slope = np.polyfit(xs, norms, 1)[0]
     assert slope > 0.0

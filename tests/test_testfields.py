@@ -15,7 +15,6 @@ from softcone.testfields import (
     TestFieldPair,
     TimeBumpTransform,
     fourier_transform_1d,
-    make_bump,
     photon_wavefunction,
 )
 from tests.conftest import make_field
@@ -56,11 +55,11 @@ def test_bump_is_nonnegative_and_supported(center, halfwidth, x):
         assert v == 0.0
 
 
-def test_make_bump_rejects_bad_halfwidth():
+def test_bump_rejects_bad_halfwidth():
     with pytest.raises(ValueError):
-        make_bump(0.0, 0.0)
+        BumpProfile(0.0, 0.0)
     with pytest.raises(ValueError):
-        make_bump(0.0, -1.0)
+        BumpProfile(0.0, -1.0)
 
 
 # ---------------------------------------------------------------- transforms

@@ -180,21 +180,22 @@ def magnetic_field():
 
 def test_bj_support_within_declared_radius(magnetic_field):
     r = magnetic_field.support.radius
-    assert bj_support_check(magnetic_field, r) <= 1e-4
-    assert bj_support_check(magnetic_field, 2 * r) <= 1e-6
+    frac_r, frac_2r = bj_support_check(magnetic_field, (r, 2 * r))
+    assert frac_r <= 1e-4
+    assert frac_2r <= 1e-6
+    # the grid follows the largest radius, whatever the others are
+    assert bj_support_check(magnetic_field, (2 * r,)) == [frac_2r]
 
 
 def test_bj_support_requires_magnetic_terms():
     electric = make_field(0.0, (0.0, 0.0, 0.0))
     with pytest.raises(ValueError):
-        bj_support_check(electric, 1.0)
+        bj_support_check(electric, (1.0,))
 
 
 def test_bj_probe_fraction_decreases_with_radius(magnetic_field):
     r = magnetic_field.support.radius
-    f1 = bj_support_check(magnetic_field, 0.8 * r)
-    f2 = bj_support_check(magnetic_field, r)
-    f3 = bj_support_check(magnetic_field, 1.5 * r)
+    f1, f2, f3 = bj_support_check(magnetic_field, (0.8 * r, r, 1.5 * r))
     assert f1 >= f2 >= f3
 
 
