@@ -197,13 +197,22 @@ def _validate_study(where: str, entry: dict, fields: dict):
         confs = opts["configurations"]
         if not confs:
             raise ConfigError(f"{where}: locality needs at least one entry in 'configurations'")
+        reach = 2.0 * studies.LOCALITY_HALFWIDTH
         for j, conf in enumerate(confs):
-            centers = conf.get("centers") if isinstance(conf, dict) else None
+            at = f"{where}.configurations[{j}]"
+            if not isinstance(conf, dict):
+                raise ConfigError(f"{at}: expected a mapping with 'centers', got {conf!r}")
+            centers = conf.get("centers")
             if not (isinstance(centers, list) and len(centers) == 2
-                    and all(isinstance(c, list) and len(c) == 4 for c in centers)):
+                    and all(studies._is_numbers(c, (4,)) for c in centers)):
                 raise ConfigError(
-                    f"{where}.configurations[{j}]: 'centers' must hold two points "
-                    f"[t, x, y, z], got {centers!r}"
+                    f"{at}.centers: expected two points [t, x, y, z] of numbers, got {centers!r}"
+                )
+            radius = conf.get("radius", reach)
+            if not (studies._is_number(radius) and reach <= float(radius) < np.inf):
+                raise ConfigError(
+                    f"{at}.radius: expected a finite number >= {reach:g} "
+                    f"(the reach of the locality fields), got {radius!r}"
                 )
     elif name == "huyghens":
         if not opts["T_list"] and not opts["include_v_hat"]:

@@ -4,10 +4,13 @@ Everything here computes variations of
 
     <v, f> = int_0^inf d rho rho^2 int dOmega  conj(v(k)) . f(k)
 
-with the first slot conjugated.  The mesh is a tensor product of a graded
-geometric radial mesh (panel density raised for oscillatory integrands using
-the phase metadata carried by the wavefunctions) and a Gauss-Legendre x
-uniform angular rule.  Every pairing is evaluated twice, on a base mesh and a
+with the first slot conjugated.  Each operand is a sum of parts, a scalar
+times a polarisation vector that depends on the direction alone (see
+`photon`), so the vectors are dotted once per angular node and only the
+scalars vary along rho.  The mesh is a tensor product of a graded geometric
+radial mesh (panel density raised for oscillatory integrands using the
+phase metadata carried by the wavefunctions) and a Gauss-Legendre x uniform
+angular rule.  Every pairing is evaluated twice, on a base mesh and a
 refined one; the difference is the reported error estimate, and the refined
 value is returned.
 
@@ -34,9 +37,9 @@ import numpy as np
 
 from .errors import SupportNotInForwardCone, ToleranceNotMet
 from .geometry import ConeRegion, Point4, double_cone_in_cone
-from .photon import PhotonWaveFunction, check_integrable
+from .photon import PhotonWaveFunction, check_integrable, polarisation_vector
 from .profiles import DressingParams, profile_wavefunction, term_wavefunction
-from .quadrature import QuadratureSpec, angular_mesh, radial_mesh
+from .quadrature import QuadratureSpec, angular_mesh, radial_mesh, unit_direction
 from .testfields import TestFieldPair, photon_wavefunction
 
 TWO_PI = 2.0 * math.pi
@@ -134,18 +137,26 @@ def _accumulate(mesh: _Mesh, leaves, entries):
     """Value and L1 mass of <leaves[i], leaves[j]> for each (i, j) in
     ``entries`` on one mesh, and the L1 mass of the entries' summed integrand.
 
-    Each leaf is evaluated once per chunk however many entries it enters.  The
-    chunk's angular width is divided by the number of leaves it holds, at
-    least two, so a chunk takes no more memory than the two operands of one
-    pairing.  Leaves are held component-first, so the three-term dot runs on
-    contiguous arrays.  The rho array object is reused across chunks so the
-    wavefunctions' radial memoization stays hot."""
+    Each leaf's parts are evaluated once per chunk however many entries it
+    enters.  The integrand of an entry is
+
+        g = sum_pq conj(s_ip) (s_jq d_pq),    d_pq = vec_p . vec_q,
+
+    over the polarisations p of leaf i and q of leaf j: each product d_pq is
+    formed once per chunk on its angular nodes, each row scalar conjugated
+    once, and entries run column by column so each s_jq d_pq is shared by
+    the entries of column j and dropped after them.  The chunk's angular
+    width is divided by the number of leaves it holds, at least two, so a
+    chunk takes no more memory than the two operands of one pairing.  The
+    rho array object is reused across chunks so the wavefunctions' radial
+    memoization stays hot."""
     used = sorted({k for entry in entries for k in entry})
     rows = sorted({i for i, _ in entries})
     nr = mesh.rho.size
     rho_col = mesh.rho[:, None]
     jac = mesh.rho_weight[:, None]
     nb = max(1, CHUNK_ELEMENTS // (nr * max(2, len(used))))
+    by_column = sorted(range(len(entries)), key=lambda e: entries[e][1])
     values = [0.0 + 0.0j for _ in entries]
     l1 = [0.0 for _ in entries]
     total_l1 = 0.0
@@ -154,14 +165,27 @@ def _accumulate(mesh: _Mesh, leaves, entries):
         mu = mesh.ang_mu[sl][None, :]
         phi = mesh.ang_phi[sl][None, :]
         w = jac * mesh.ang_weight[sl][None, :]
-        vals = {k: np.moveaxis(leaves[k].values(rho_col, mu, phi), -1, 0).copy() for k in used}
-        conj = {i: np.conjugate(vals[i]) for i in rows}
-        g_sum = None
-        for e, (i, j) in enumerate(entries):
-            a, b = conj[i], vals[j]
-            g = a[0] * b[0]
-            g += a[1] * b[1]
-            g += a[2] * b[2]
+        khat = unit_direction(mu, phi)
+        parts = {k: leaves[k].parts(rho_col, mu, phi) for k in used}
+        conj = {i: [(p, np.conjugate(s)) for p, s in parts[i].items()] for i in rows}
+        vecs = {p: polarisation_vector(p, khat) for k in used for p in parts[k]}
+        dots, column, g_sum = {}, None, None
+        for e in by_column:
+            i, j = entries[e]
+            if j != column:
+                column, weighted = j, {}
+            g = None
+            for p, a in conj[i]:
+                for q, b in parts[j].items():
+                    if (p, q) not in dots:
+                        vp, vq = vecs[p], vecs[q]
+                        dots[p, q] = vp[0] * vq[0] + vp[1] * vq[1] + vp[2] * vq[2]
+                    if (p, q) not in weighted:
+                        weighted[p, q] = b * dots[p, q]
+                    term = a * weighted[p, q]
+                    g = term if g is None else g + term
+            if g is None:
+                g = np.zeros(w.shape, dtype=complex)
             values[e] += complex(np.sum(g * w))
             l1[e] += float(np.sum(np.abs(g) * w))
             g_sum = g if g_sum is None else g_sum + g

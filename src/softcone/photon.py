@@ -5,6 +5,16 @@ components, the `PhotonWaveFunction` value type shared by test-field images
 and dressing profiles, and the scalar/symplectic pairings (delegated to the
 quadrature engine in `pairing`).
 
+A wavefunction is held as a sum of parts, scalar(rho, mu, phi) times a
+polarisation vector that depends on the direction alone.  A polarisation is a
+hashable key:
+
+* ``("electric", u)``  the transverse projection  u - (khat.u) khat;
+* ``("magnetic", u)``  the cross product  khat x u;
+
+with u a tuple of three floats.  Dressing profiles are electric in the
+velocity w, local test fields electric or magnetic in their direction.
+
 Conventions fixed here and relied on everywhere else:
 
 * scalar product antilinear in the FIRST slot,  <f, g> = int d3k conj(f).g;
@@ -21,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AxisSingularity, NonIntegrablePairing
-from .quadrature import QuadratureSpec
+from .quadrature import QuadratureSpec, unit_direction
 
 AXIS_TOLERANCE = 1e-12
 
@@ -51,6 +61,17 @@ def transverse_project(khat, u):
     return u - np.sum(k * u, axis=-1, keepdims=True) * k
 
 
+def polarisation_vector(key, khat):
+    """Components (v1, v2, v3) of the polarisation ``key`` at the unit
+    directions ``khat = (kx, ky, kz)``."""
+    channel, u = key
+    kx, ky, kz = khat
+    if channel == "electric":
+        ku = kx * u[0] + ky * u[1] + kz * u[2]
+        return u[0] - ku * kx, u[1] - ku * ky, u[2] - ku * kz
+    return ky * u[2] - kz * u[1], kz * u[0] - kx * u[2], kx * u[1] - ky * u[0]
+
+
 def helicity_components(f: "PhotonWaveFunction", k):
     """(f_plus, f_minus) = (eps_plus . f(k), eps_minus . f(k)); axis excluded."""
     k = np.asarray(k, dtype=float)
@@ -66,9 +87,13 @@ class PhotonWaveFunction:
     """Transverse momentum-space amplitude with quadrature metadata.
 
     ``evaluator(rho, mu, phi)`` maps broadcast-compatible spherical-coordinate
-    arrays to a complex array of shape ``broadcast(...) + (3,)``. Passing
+    arrays to the amplitude's parts, a mapping ``{polarisation: scalar}`` (see
+    the module docstring for the keys); the amplitude is the sum of
+    scalar * vector(polarisation).  `parts` returns that mapping and `values`
+    the summed complex array of shape ``broadcast(...) + (3,)``.  Passing
     tensor-shaped inputs (rho[:,None,None], mu[None,:,None], phi[None,None,:])
-    keeps radial factors cheap through broadcasting.
+    keeps radial factors cheap through broadcasting; the vectors need the
+    angular grid alone.
 
     Metadata drives mesh construction:
 
@@ -88,8 +113,19 @@ class PhotonWaveFunction:
     x_perp_extent: float = 0.0
     label: str = ""
 
-    def values(self, rho, mu, phi) -> np.ndarray:
+    def parts(self, rho, mu, phi) -> dict:
         return self.evaluator(rho, mu, phi)
+
+    def values(self, rho, mu, phi) -> np.ndarray:
+        khat = unit_direction(mu, phi)
+        out = None
+        for key, s in self.evaluator(rho, mu, phi).items():
+            term = s[..., None] * np.stack(polarisation_vector(key, khat), axis=-1)
+            out = term if out is None else out + term
+        if out is None:
+            shape = np.broadcast(np.asarray(rho), np.asarray(mu), np.asarray(phi)).shape
+            return np.zeros(shape + (3,), dtype=complex)
+        return out.astype(complex, copy=False)
 
     def __call__(self, k) -> np.ndarray:
         """Pointwise Cartesian evaluation, k of shape (..., 3)."""
@@ -98,8 +134,7 @@ class PhotonWaveFunction:
         safe = np.where(rho > 0, rho, 1.0)
         mu = k[..., 2] / safe
         phi = np.arctan2(k[..., 1], k[..., 0])
-        out = self.evaluator(rho, mu, phi)
-        return out
+        return self.values(rho, mu, phi)
 
     # -- linear structure (labels form a complex vector space) --------------
 
@@ -114,9 +149,17 @@ class PhotonWaveFunction:
         )
 
     def __add__(self, other: "PhotonWaveFunction") -> "PhotonWaveFunction":
+        """The sum; parts with the same polarisation add their scalars."""
         f, g = self.evaluator, other.evaluator
+
+        def evaluator(rho, mu, phi):
+            out = dict(f(rho, mu, phi))
+            for key, s in g(rho, mu, phi).items():
+                out[key] = out[key] + s if key in out else s
+            return out
+
         return PhotonWaveFunction(
-            evaluator=lambda rho, mu, phi: f(rho, mu, phi) + g(rho, mu, phi),
+            evaluator=evaluator,
             label=f"({self.label}+{other.label})",
             **self._combined_meta(other),
         )
@@ -132,20 +175,15 @@ class PhotonWaveFunction:
         f = self.evaluator
         return replace(
             self,
-            evaluator=lambda rho, mu, phi: c * f(rho, mu, phi),
+            evaluator=lambda rho, mu, phi: {key: c * s for key, s in f(rho, mu, phi).items()},
             label=f"({c!r}*{self.label})",
         )
 
 
 def zero_wavefunction() -> PhotonWaveFunction:
-    """The zero label (identity Weyl element)."""
-
-    def evaluator(rho, mu, phi):
-        shape = np.broadcast(np.asarray(rho), np.asarray(mu), np.asarray(phi)).shape
-        return np.zeros(shape + (3,), dtype=complex)
-
+    """The zero label (identity Weyl element): no parts."""
     return PhotonWaveFunction(
-        evaluator=evaluator,
+        evaluator=lambda rho, mu, phi: {},
         small_k_exponent=2.0,
         truncation_radius=1.0,
         label="0",

@@ -2,7 +2,8 @@
 
 All profiles are transverse vector functions of momentum built from the
 angular factor P_tr w / (1 - khat.w) (transverse projection of the velocity,
-Doppler denominator) with different radial weights:
+Doppler denominator) with different radial weights.  Each is one part, a
+scalar on the polarisation ("electric", w) (see `photon`):
 
 * sharp shell    chi_[sigma, kappa](|k|) |k|^(-3/2)              (``v_sigma``)
 * full shell     sigma = 0                                       (``v_limit``)
@@ -104,14 +105,11 @@ def _window_truncation(params: DressingParams) -> float:
 
 
 def _angular_parts(params: DressingParams, mu, phi):
-    """khat.w, the Doppler denominator and P_tr w on a spherical grid."""
+    """khat.w and the Doppler denominator on a spherical grid."""
     kx, ky, kz = unit_direction(mu, phi)
     w1, w2, w3 = params.w
     kw = kx * w1 + ky * w2 + kz * w3
-    pw = np.stack(
-        [w1 - kw * kx, w2 - kw * ky, w3 - kw * kz], axis=-1
-    )
-    return kw, 1.0 - kw, pw
+    return kw, 1.0 - kw
 
 
 def _require_positive(rho):
@@ -122,16 +120,16 @@ def _require_positive(rho):
 def _sharp_wavefunction(params: DressingParams, sigma_lo: float) -> PhotonWaveFunction:
     sqrt_alpha = math.sqrt(params.alpha)
     lo, hi = sigma_lo, params.kappa
+    key = ("electric", params.w)
 
     def evaluator(rho, mu, phi):
         rho = np.asarray(rho, dtype=float)
         _require_positive(rho)
-        kw, denom, pw = _angular_parts(params, mu, phi)
+        _, denom = _angular_parts(params, mu, phi)
         radial = sqrt_alpha * np.where(
             (rho >= lo) & (rho <= hi), rho ** -1.5, 0.0
         )
-        scal = radial / denom
-        return (scal[..., None] * pw).astype(complex)
+        return {key: radial / denom}
 
     return PhotonWaveFunction(
         evaluator=evaluator,
@@ -149,11 +147,12 @@ def _dressed_wavefunction(params: DressingParams, which: str, T) -> PhotonWaveFu
     gt = _SingleSlotMemo(lambda rho: scale * tr(rho))
     w_speed = params.speed
     w_perp = math.hypot(params.w[0], params.w[1])
+    key = ("electric", params.w)
 
     def evaluator(rho, mu, phi):
         rho = np.asarray(rho, dtype=float)
         _require_positive(rho)
-        kw, denom, pw = _angular_parts(params, mu, phi)
+        kw, denom = _angular_parts(params, mu, phi)
         # dividing a complex array by a real one multiplies by the reciprocal,
         # so taking it on the angular grid alone gives the same bits
         inv_denom = 1.0 / denom
@@ -171,8 +170,7 @@ def _dressed_wavefunction(params: DressingParams, which: str, T) -> PhotonWaveFu
                 acc = acc - (
                     g * phase_u * rho ** -1.5 * np.exp(-1j * rho * (1.0 - kw) * T)
                 ) * inv_denom
-        out = sqrt_alpha * acc
-        return out[..., None] * pw
+        return {key: sqrt_alpha * acc}
 
     if which == "vhat":
         phases = ((-u, 0.0),)

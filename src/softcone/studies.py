@@ -52,6 +52,12 @@ SOME_NUMBERS = (lambda x: _is_numbers(x) and len(x) > 0, "a non-empty list of nu
 SIGMAS = (lambda x: _is_numbers(x) and len({float(v) for v in x}) >= 2,
           "a list of at least two distinct numbers")
 SIGMA_GRID = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
+# T = 0 is the empty window: a zero profile with pairing scale 0
+WINDOWS = (lambda x: _is_numbers(x) and all(float(T) > 0 for T in x),
+           "a list of positive numbers")
+ASCENDING_WINDOWS = (lambda x: WINDOWS[0](x) and len(x) > 0
+                     and all(float(a) <= float(b) for a, b in zip(x, x[1:])),
+                     "a non-empty ascending list of positive numbers")
 # The options each study reads: the check its value must pass, and its default.
 STUDY_OPTIONS = {
     "ir-divergence": {"speeds": (SOME_NUMBERS, [0.0, 0.1, 0.3]),
@@ -66,11 +72,11 @@ STUDY_OPTIONS = {
     "difference-norm": {"sigma_probes": (SIGMAS, [1e-2, 1e-4, 1e-6]),
                         "cauchy_rtol": (NUMBER, 0.01)},
     "huyghens": {"field": (NAME, "probe"),
-                 "T_list": (NUMBERS, [1.0, 10.0]),
+                 "T_list": (WINDOWS, [1.0, 10.0]),
                  "include_v_hat": (FLAG, True),
                  "defect_rtol": (NUMBER, 1e-5)},
     "limit-T": {"field": (NAME, "probe"),
-                "T_list": (NUMBERS, [1.0, 10.0, 100.0]),
+                "T_list": (ASCENDING_WINDOWS, [1.0, 10.0, 100.0]),
                 "decay_factor": (NUMBER, 0.05),
                 "region_T": (NUMBERS, [3.0]),
                 "decay_pair": ((lambda x: _is_numbers(x, (0, 2)), "an empty list or two numbers"),
@@ -190,11 +196,7 @@ def huyghens(params, quadrature, fields, opts):
     field = fields[opts["field"]]
     rtol = float(opts["defect_rtol"])
     cases = [("v_hat", None)] if opts["include_v_hat"] else []
-    T_list = [float(T) for T in opts["T_list"]]
-    if any(T <= 0 for T in T_list):
-        # T = 0 is the empty window: a zero profile with pairing scale 0
-        raise ValueError("T_list must be positive")
-    cases.extend(("v_hat_T", T) for T in T_list)
+    cases.extend(("v_hat_T", float(T)) for T in opts["T_list"])
     checks, rows, table = [], [], []
     for kind, T in cases:
         rep = pairing.huyghens_report(params, field, kind, quadrature, T)
@@ -338,6 +340,11 @@ def locality_quadrature(base: QuadratureSpec) -> QuadratureSpec:
     return replace(base, r_max=min(base.r_max, 40.0))
 
 
+# halfwidth of the time and the space bump of each locality field; a field
+# reaches 2 * LOCALITY_HALFWIDTH from its centre, so its radius must too
+LOCALITY_HALFWIDTH = 0.4
+
+
 def _locality_pair(conf: dict):
     # Oblique directions keep sigma from vanishing by symmetry alone: for an
     # electric 3-field against a magnetic 1-field with centres on the 3-axis,
@@ -348,8 +355,8 @@ def _locality_pair(conf: dict):
     for idx, center in enumerate(conf["centers"]):
         c = [float(v) for v in center]
         term = SeparableTerm(
-            time=BumpProfile(c[0], 0.4),
-            space=BumpProfile(0.0, 0.4),
+            time=BumpProfile(c[0], LOCALITY_HALFWIDTH),
+            space=BumpProfile(0.0, LOCALITY_HALFWIDTH),
             direction=(1.0, 1.0, 1.0) if idx == 0 else (1.0, -1.0, 1.0),
             channel="electric" if idx == 0 else "magnetic",
             position=tuple(c[1:4]),

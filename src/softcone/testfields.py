@@ -15,6 +15,8 @@ and the photon image of a pair (f_e, f_b) is
     f(k) = -i (2 pi)^2 ( |k|^(1/2) P_tr f~_e(|k|,k) + |k|^(-1/2) k x f~_b(|k|,k) ),
 
 kept verbatim including the constant prefactor; |f(k)| = O(|k|^(1/2)) near 0.
+Each term gives one scalar on the polarisation (channel, direction) of
+`photon`; terms that share channel and direction add their scalars.
 """
 from __future__ import annotations
 
@@ -239,10 +241,9 @@ def photon_wavefunction(pair: TestFieldPair) -> PhotonWaveFunction:
     def evaluator(rho, mu, phi):
         rho = np.asarray(rho, dtype=float)
         kx, ky, kz = unit_direction(mu, phi)
-        out = None
+        out = {}
         sqrt_rho = np.sqrt(rho)
         for term, tt, st in zip(terms, times, spaces):
-            d = np.asarray(term.direction)
             x1, x2, x3 = term.position
             ang = kx * x1 + ky * x2 + kz * x3
             scal = (
@@ -253,24 +254,8 @@ def photon_wavefunction(pair: TestFieldPair) -> PhotonWaveFunction:
                 * st(rho)
                 * np.exp(1j * rho * (term.time.center - ang))
             )
-            if term.channel == "electric":
-                kd = kx * d[0] + ky * d[1] + kz * d[2]
-                vec = np.stack(
-                    [d[0] - kd * kx, d[1] - kd * ky, d[2] - kd * kz], axis=-1
-                )
-            else:
-                vec = np.stack(
-                    [
-                        ky * d[2] - kz * d[1],
-                        kz * d[0] - kx * d[2],
-                        kx * d[1] - ky * d[0],
-                    ],
-                    axis=-1,
-                )
-            if out is None:
-                out = scal[..., None] * vec
-            else:
-                out += scal[..., None] * vec
+            key = (term.channel, term.direction)
+            out[key] = out[key] + scal if key in out else scal
         return out
 
     envelopes = [

@@ -110,17 +110,36 @@ def test_bare_string_study_rejected(tmp_path, capsys):
     assert "studies[1]" in capsys.readouterr().err
 
 
-def test_huyghens_empty_window_is_a_study_error(tmp_path):
-    text = MINI_CONFIG.split("studies:")[0] + (
-        "studies:\n  - name: huyghens\n    field: probe\n"
-        "    T_list: [0.0]\n    include_v_hat: false\n"
-    )
+@pytest.mark.parametrize(
+    "study",
+    [
+        "  - name: huyghens\n    field: probe\n    T_list: [0.0]\n    include_v_hat: false\n",
+        "  - name: huyghens\n    field: probe\n    T_list: [-1.0]\n",
+        "  - name: limit-T\n    field: probe\n    T_list: []\n",
+        "  - name: limit-T\n    field: probe\n    T_list: [-1.0]\n",
+        "  - name: limit-T\n    field: probe\n    T_list: [10.0, 1.0]\n",
+    ],
+    ids=["huyghens-empty-window", "huyghens-negative", "limit-T-empty", "limit-T-negative",
+         "limit-T-descending"],
+)
+def test_window_list_rejected_at_parse_time(tmp_path, capsys, study):
+    # T = 0 is the empty window (pairing scale 0), and limit-T needs its
+    # windows in ascending order
+    text = MINI_CONFIG.split("studies:")[0] + "studies:\n  - name: difference-norm\n" + study
     rc = cli.run(write_config(tmp_path, text), str(tmp_path / "o"))
-    assert rc == 1
-    report = json.loads((tmp_path / "o" / "report.json").read_text())
-    (entry,) = report["studies"]
-    assert entry["name"] == "huyghens" and entry["pass"] is False
-    assert entry["error"].startswith("ValueError")
+    assert rc == 2
+    assert "studies[1].T_list:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_valid_window_lists_parse(tmp_path):
+    # an empty huyghens list stays valid next to include_v_hat
+    text = MINI_CONFIG.split("studies:")[0] + (
+        "studies:\n  - name: huyghens\n    field: probe\n    T_list: []\n"
+        "  - name: limit-T\n    field: probe\n    T_list: [1.0, 10.0, 100.0]\n"
+    )
+    cfg = cli.parse_config(write_config(tmp_path, text))
+    assert [s["T_list"] for s in cfg.studies] == [[], [1.0, 10.0, 100.0]]
 
 
 def test_lightlike_velocity_rejected_at_parse_time(tmp_path, capsys):
@@ -248,6 +267,29 @@ def test_locality_configuration_needs_two_centers(tmp_path, capsys, centers):
     rc = cli.run(write_config(tmp_path, text), str(tmp_path / "o"))
     assert rc == 2
     assert "studies[0].configurations[1]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "conf, key",
+    [
+        ("centers: [[0.0, 0.0, 0.0, 4.0], [0.0, 0.0, 0.0, -4.0]], radius: null", "radius"),
+        ("centers: [[0.0, 0.0, 0.0, 4.0], [0.0, 0.0, 0.0, -4.0]], radius: 0.5", "radius"),
+        ("centers: [[0.0, 0.0, zero, 4.0], [0.0, 0.0, 0.0, -4.0]]", "centers"),
+        ("centers: [[0.0, 0.0, 4.0], [0.0, 0.0, 0.0, -4.0]]", "centers"),
+    ],
+    ids=["null-radius", "radius-below-reach", "word-in-centers", "short-center"],
+)
+def test_locality_numbers_checked_at_parse_time(tmp_path, capsys, conf, key):
+    # a null radius or a word in the centers must not reach the study
+    text = (
+        "studies:\n  - name: locality\n    configurations:\n"
+        "      - {name: ok, centers: [[0.0, 0.0, 0.0, 4.0], [0.0, 0.0, 0.0, -4.0]], radius: 0.81}\n"
+        "      - {name: bad, " + conf + "}\n"
+    )
+    rc = cli.run(write_config(tmp_path, text), str(tmp_path / "o"))
+    assert rc == 2
+    assert f"studies[0].configurations[1].{key}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(

@@ -264,3 +264,92 @@ def test_oscillatory_result_stable_under_denser_sampling(params, quad, forward_p
     base = pair(vT, f, quad)
     dense = pair(vT, f, replace(quad, nodes_per_wavelength=12.0))
     assert abs(dense.value - base.value) <= 1e-6 * base.scale
+
+
+def _oracle_gram(mesh, leaves, entries):
+    """sum w conj(values_i) . values_j on the mesh, with the three-component
+    dot spelled out, and the L1 mass of each integrand."""
+    rho = mesh.rho[:, None]
+    out = {entry: [0j, 0.0] for entry in entries}
+    for start in range(0, mesh.ang_mu.size, 64):
+        sl = slice(start, start + 64)
+        mu, phi = mesh.ang_mu[sl][None, :], mesh.ang_phi[sl][None, :]
+        w = mesh.rho_weight[:, None] * mesh.ang_weight[sl][None, :]
+        vals = {k: leaves[k].values(rho, mu, phi) for k in {k for e in entries for k in e}}
+        for i, j in entries:
+            a, b = np.conjugate(vals[i]), vals[j]
+            g = a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+            out[i, j][0] += np.sum(g * w)
+            out[i, j][1] += np.sum(np.abs(g) * w)
+    return out
+
+
+def _kernel_cases():
+    # a profile with an oblique velocity against an electric and a magnetic
+    # field; the two-key difference of two velocity sectors with itself; a
+    # two-term field whose terms share a polarisation and one whose do not;
+    # sums and complex multiples of Weyl labels
+    from softcone.geometry import DoubleCone, Point4
+    from softcone.testfields import BumpProfile, SeparableTerm, TestFieldPair
+
+    params = DressingParams(w=(0.2, 0.1, 0.2))
+    v = profile_wavefunction(params, "v_limit")
+    elec = photon_wavefunction(make_field(5.0, (0.0, 0.0, 0.0), direction=(1.0, 2.0, 0.5),
+                                          radius=1.0))
+    mag = photon_wavefunction(make_field(5.0, (0.0, 0.0, 0.0), channel="magnetic",
+                                         direction=(0.3, -1.0, 0.7), radius=1.0))
+    other = profile_wavefunction(DressingParams(w=(-0.3, 0.0, 0.1)), "v_limit")
+
+    def two_terms(direction2, channel2):
+        terms = tuple(
+            SeparableTerm(time=BumpProfile(t, 0.4), space=BumpProfile(0.0, 0.4),
+                          direction=d, channel=c, position=(0.0, 0.0, z))
+            for t, z, d, c in ((0.1, 0.1, (1.0, 0.0, 1.0), "electric"),
+                               (-0.1, -0.1, direction2, channel2))
+        )
+        return photon_wavefunction(TestFieldPair(terms, DoubleCone(Point4(0.0, np.zeros(3)), 1.0)))
+
+    shared = two_terms((1.0, 0.0, 1.0), "electric")
+    apart = two_terms((0.0, 1.0, 0.0), "magnetic")
+    rng = np.random.default_rng(5)
+    f, g = (photon_wavefunction(make_random_label(rng)) for _ in range(2))
+    return {
+        "profile-vs-fields": ([v, elec, mag], [(0, 1), (0, 2)], None),
+        # a real part (sharp profile) next to a complex one (local field)
+        "superselection-difference": ([v - other, v + elec], [(0, 0), (1, 1), (0, 1)],
+                                      (1e-3, 1.0)),
+        "two-term-fields": ([shared, apart], [(0, 0), (0, 1), (1, 1)], None),
+        "weyl-labels": ([f + g, (f - g).scaled(-1j), f], [(0, 1), (1, 2), (0, 0)], None),
+    }
+
+
+def _worst_kernel_gap(quad, leaves, entries, r_bounds):
+    from softcone.studies import weyl_quadrature
+
+    q = weyl_quadrature(quad)
+    got = gram(leaves, entries, q, r_bounds)
+    _, fine = pairing._meshes(q, leaves, entries, r_bounds)
+    want = _oracle_gram(fine, leaves, entries)
+    worst = 0.0
+    for entry in entries:
+        value, scale = want[entry]
+        worst = max(worst, abs(got[entry].value - value) / scale,
+                    abs(got[entry].scale - scale) / scale)
+    return worst
+
+
+@pytest.mark.parametrize("case", ["profile-vs-fields", "superselection-difference",
+                                  "two-term-fields", "weyl-labels"])
+def test_kernel_matches_three_component_reduction(quad, case):
+    leaves, entries, r_bounds = _kernel_cases()[case]
+    assert _worst_kernel_gap(quad, leaves, entries, r_bounds) <= 1e-13
+
+
+def test_kernel_check_fails_with_magnetic_taken_for_electric(quad, monkeypatch):
+    # negative control: the kernel's products with a magnetic polarisation
+    # built from the electric vector no longer match the oracle
+    real = pairing.polarisation_vector
+    monkeypatch.setattr(pairing, "polarisation_vector",
+                        lambda key, khat: real(("electric", key[1]), khat))
+    leaves, entries, r_bounds = _kernel_cases()["profile-vs-fields"]
+    assert _worst_kernel_gap(quad, leaves, entries, r_bounds) > 1e-3

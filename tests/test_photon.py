@@ -12,8 +12,9 @@ from softcone.photon import (
     transverse_project,
     zero_wavefunction,
 )
-from softcone.quadrature import QuadratureSpec
-from softcone.testfields import photon_wavefunction
+from softcone.geometry import DoubleCone, Point4
+from softcone.quadrature import QuadratureSpec, unit_direction
+from softcone.testfields import BumpProfile, SeparableTerm, TestFieldPair, photon_wavefunction
 from tests.conftest import make_field
 
 
@@ -124,3 +125,79 @@ def test_sum_keeps_every_phase_term():
         total = total + wf
     assert total.phase_terms == tuple(wf.phase_terms[0] for wf in wfs)
     assert len(set(total.phase_terms)) == 20
+
+
+def _grid():
+    rho = np.geomspace(0.05, 4.0, 7)[:, None]
+    mu = np.linspace(-0.95, 0.95, 9)
+    phi = np.linspace(0.1, 6.0, 11)
+    m, p = (a.ravel()[None, :] for a in np.meshgrid(mu, phi, indexing="ij"))
+    return rho, m, p
+
+
+def _leaves():
+    from softcone.profiles import DressingParams, profile_wavefunction
+
+    params = DressingParams(w=(0.2, 0.1, 0.2))
+    return {
+        "v_limit": profile_wavefunction(params, "v_limit"),
+        "v_hat_T": profile_wavefunction(params, "v_hat_T", T=3.0),
+        "electric": photon_wavefunction(make_field(0.0, (0.1, 0.0, 0.2), direction=(1.0, 2.0, 0.5))),
+        "magnetic": photon_wavefunction(make_field(0.4, (0.0, 0.2, -0.3), channel="magnetic",
+                                                   direction=(0.3, -1.0, 0.7))),
+    }
+
+
+def test_single_term_values_spell_out_the_vector():
+    # each leaf is one scalar times the transverse w or d (electric) or
+    # khat x d (magnetic), formed component by component: the same bits as
+    # building the vector at every node
+    rho, mu, phi = _grid()
+    kx, ky, kz = unit_direction(mu, phi)
+    for name, wf in _leaves().items():
+        ((key, s),) = wf.parts(rho, mu, phi).items()
+        channel, d = key
+        assert channel == ("magnetic" if name == "magnetic" else "electric")
+        if channel == "electric":
+            kd = kx * d[0] + ky * d[1] + kz * d[2]
+            vec = np.stack([d[0] - kd * kx, d[1] - kd * ky, d[2] - kd * kz], axis=-1)
+        else:
+            vec = np.stack([ky * d[2] - kz * d[1], kz * d[0] - kx * d[2], kx * d[1] - ky * d[0]],
+                           axis=-1)
+        want = (s[..., None] * vec).astype(complex)
+        assert np.array_equal(wf.values(rho, mu, phi), want), name
+
+
+def test_parts_algebra():
+    rho, mu, phi = _grid()
+    leaves = _leaves()
+    khat = np.stack(unit_direction(mu, phi), axis=-1)[None]
+    for a in leaves.values():
+        for b in leaves.values():
+            va, vb = a.values(rho, mu, phi), b.values(rho, mu, phi)
+            top = max(np.max(np.abs(va)), np.max(np.abs(vb)))
+            got = (a + b).values(rho, mu, phi)
+            assert np.max(np.abs(got - (va + vb))) <= 1e-15 * top
+            assert np.max(np.abs(np.sum(khat * got, axis=-1))) <= 1e-15 * top
+            got = (a - b.scaled(0.5j)).values(rho, mu, phi)
+            assert np.max(np.abs(got - (va - 0.5j * vb))) <= 1e-15 * top
+    # sums and multiples keep one part per polarisation
+    f, g = leaves["electric"], leaves["magnetic"]
+    assert len((f + f.scaled(2.0) + g).parts(rho, mu, phi)) == 2
+    v = leaves["v_limit"]
+    diff = v - leaves["v_hat_T"]
+    assert list(diff.parts(rho, mu, phi)) == list(v.parts(rho, mu, phi))
+    # two terms with the same channel and direction are one part
+    terms = tuple(
+        SeparableTerm(time=BumpProfile(t, 0.4), space=BumpProfile(0.0, 0.4),
+                      direction=(0.0, 2.0, 0.0), channel="magnetic", position=(0.0, 0.0, z))
+        for t, z in ((0.1, 0.1), (-0.1, -0.1))
+    )
+    two = photon_wavefunction(TestFieldPair(terms, DoubleCone(Point4(0.0, np.zeros(3)), 1.0)))
+    assert list(two.parts(rho, mu, phi)) == [("magnetic", (0.0, 1.0, 0.0))]
+    # the zero label has no parts and zero values of the broadcast shape
+    z = zero_wavefunction()
+    assert z.parts(rho, mu, phi) == {}
+    zero = z.values(rho, mu, phi)
+    assert zero.shape == (rho.size, mu.size, 3) and zero.dtype == complex and not zero.any()
+    assert np.array_equal((f + z).values(rho, mu, phi), f.values(rho, mu, phi))
