@@ -217,6 +217,14 @@ def _validate_study(where: str, entry: dict, fields: dict):
     elif name == "huyghens":
         if not opts["T_list"] and not opts["include_v_hat"]:
             raise ConfigError(f"{where}: huyghens with an empty T_list needs include_v_hat")
+    elif name == "limit-T" and entry.get("decay_pair"):
+        windows = {float(T) for T in opts["T_list"]}
+        missing = [T for T in entry["decay_pair"] if float(T) not in windows]
+        if missing:
+            raise ConfigError(
+                f"{where}.decay_pair: windows {missing} are not in T_list {opts['T_list']}; "
+                "term2-decay compares two of its rows"
+            )
 
 
 class ScenarioConfig:
@@ -287,6 +295,22 @@ def emit_plot_data(report: dict, output_dir: str | None = None) -> list:
     return written
 
 
+def _provenance(config_bytes: bytes) -> dict:
+    """The config's sha256 and the run's environment, for report.json."""
+    # imported once the studies are done: hashlib maps OpenSSL, a few MB that
+    # would otherwise add to the run's peak memory
+    import hashlib
+    import platform
+
+    # platform.platform() would also run `uname -p`, about 10 ms
+    host = platform.uname()
+    return {
+        "config_sha256": hashlib.sha256(config_bytes).hexdigest(),
+        "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                        "platform": f"{host.system}-{host.release}-{host.machine}"},
+    }
+
+
 def run(config_path: str, output_dir: str | None = None) -> int:
     """Execute the configured studies; 0 iff every thresholded check passed."""
     try:
@@ -297,6 +321,8 @@ def run(config_path: str, output_dir: str | None = None) -> int:
     out_dir = output_dir or os.environ.get(OUTPUT_DIR_ENV) or cfg.output_dir
     os.makedirs(out_dir, exist_ok=True)
     selected = {s["name"]: s for s in cfg.studies}
+    with open(config_path, "rb") as fh:
+        config_bytes = fh.read()
     report = {"config": config_path, "output_dir": out_dir, "studies": [],
               "all_pass": True}
     for name, study in studies.STUDIES.items():
@@ -318,6 +344,7 @@ def run(config_path: str, output_dir: str | None = None) -> int:
         entry["wall_time_s"] = time.perf_counter() - start
         report["studies"].append(entry)
         report["all_pass"] = report["all_pass"] and entry["pass"]
+    report.update(_provenance(config_bytes))
     emit_plot_data(report)
     with open(os.path.join(out_dir, "report.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

@@ -14,14 +14,21 @@ angular rule.  Every pairing is evaluated twice, on a base mesh and a
 refined one; the difference is the reported error estimate, and the refined
 value is returned.
 
-Phase metadata drives two special rules:
+Phase metadata drives three special rules:
 
 * a phase pair (c0, c1), meaning a factor e^(i rho (c0 + c1 mu)), whose
   stationary cosine mu* = -c0/c1 falls inside (a padded) [-1, 1] makes the
   angular integral oscillatory too: the cos-theta node count is raised to the
   nodes-per-wavelength target for |c1|;
 * a transverse source offset (``x_perp_extent``) oscillates in both angles
-  and raises both angular counts.
+  and raises both angular counts;
+* under an oscillation-aware spec, an entry whose phase pairs all share one
+  c0 != 0 integrates e^(i c0 rho) exactly with Filon weights
+  (`quadrature.radial_filon_weights`), so its radial rule only resolves the
+  residual max |c1| + pads.  A Gram whose entries all take this path sizes
+  its radial rule by their largest residual; any other Gram keeps the Gauss
+  weights on the rule sized by |c0| + |c1| + pads.  The L1 mass (``scale``)
+  is the Gauss sum of |integrand| in both cases.
 
 Accumulation is chunked over angular nodes in a fixed order with a fixed
 block size, so results are bit-for-bit reproducible.
@@ -39,7 +46,13 @@ from .errors import SupportNotInForwardCone, ToleranceNotMet
 from .geometry import ConeRegion, Point4, double_cone_in_cone
 from .photon import PhotonWaveFunction, check_integrable, polarisation_vector
 from .profiles import DressingParams, profile_wavefunction, term_wavefunction
-from .quadrature import QuadratureSpec, angular_mesh, radial_mesh, unit_direction
+from .quadrature import (
+    QuadratureSpec,
+    angular_mesh,
+    radial_filon_weights,
+    radial_mesh,
+    unit_direction,
+)
 from .testfields import TestFieldPair, photon_wavefunction
 
 TWO_PI = 2.0 * math.pi
@@ -74,10 +87,33 @@ class _Mesh:
     ang_mu: np.ndarray
     ang_phi: np.ndarray
     ang_weight: np.ndarray
+    # (spec, r_lo, r_hi, freq) of the radial rule when the spec is
+    # oscillation-aware, which enables the Filon path
+    radial_rule: tuple | None = None
 
     @property
     def node_count(self) -> int:
         return self.rho.size * self.ang_mu.size
+
+    def filon_rho_weight(self, omega: float) -> np.ndarray:
+        """rho^2 W(omega) e^(-i omega rho): the radial weights of an integrand
+        that carries the factor e^(i omega rho)."""
+        weights = radial_filon_weights(*self.radial_rule, omega)
+        return weights * np.exp(-1j * omega * self.rho) * self.rho * self.rho
+
+
+def _carrier(v: PhotonWaveFunction, f: PhotonWaveFunction):
+    """The c0 difference that every phase pair of <v, f> shares, if it is
+    nonzero; otherwise None."""
+    c0 = {cf0 - cv0 for cv0, _ in v.phase_terms for cf0, _ in f.phase_terms}
+    return c0.pop() if len(c0) == 1 and 0.0 not in c0 else None
+
+
+def _residual_freq(v: PhotonWaveFunction, f: PhotonWaveFunction) -> float:
+    """Radial frequency of <v, f> left after its carrier e^(i c0 rho)."""
+    c1 = max(abs(cf1 - cv1) for _, cv1 in v.phase_terms for _, cf1 in f.phase_terms)
+    return (c1 + v.freq_pad + f.freq_pad
+            + v.envelope_bandwidth + f.envelope_bandwidth)
 
 
 def build_mesh(
@@ -85,8 +121,10 @@ def build_mesh(
     v: PhotonWaveFunction,
     f: PhotonWaveFunction,
     r_bounds=None,
+    freq: float | None = None,
 ) -> _Mesh:
-    """Tensor mesh sized from the spec and the two wavefunctions' metadata."""
+    """Tensor mesh sized from the spec and the two wavefunctions' metadata;
+    ``freq``, when given, replaces the radial frequency budget."""
     if r_bounds is None:
         r_lo = spec.r_min
         r_hi = min(spec.r_max, v.truncation_radius, f.truncation_radius)
@@ -95,18 +133,20 @@ def build_mesh(
     if not (0.0 <= r_lo < r_hi):
         raise ValueError("need 0 <= r_lo < r_hi")
 
-    freq = 0.0
+    radial_freq = 0.0
     resonant_c1 = 0.0
     x_perp = 0.0
     if spec.oscillation_aware:
         pairs = [(cf0 - cv0, cf1 - cv1) for cv0, cv1 in v.phase_terms for cf0, cf1 in f.phase_terms]
-        freq = max(abs(c0) + abs(c1) for c0, c1 in pairs)
-        freq += v.freq_pad + f.freq_pad
+        radial_freq = max(abs(c0) + abs(c1) for c0, c1 in pairs)
+        radial_freq += v.freq_pad + f.freq_pad
         for c0, c1 in pairs:
             if abs(c1) > 1e-12 and abs(c0 / c1) <= RESONANCE_WINDOW:
                 resonant_c1 = max(resonant_c1, abs(c1))
         x_perp = v.x_perp_extent + f.x_perp_extent
 
+    if freq is None:
+        freq = radial_freq
     rho, rho_w = radial_mesh(spec, r_lo, r_hi, freq)
 
     n_mu = spec.n_cos_theta
@@ -122,20 +162,27 @@ def build_mesh(
     ang_mu = np.repeat(mu, phi.size)
     ang_phi = np.tile(phi, mu.size)
     ang_w = (wmu[:, None] * wphi[None, :]).ravel()
-    return _Mesh(rho, rho_w * rho * rho, ang_mu, ang_phi, ang_w)
+    rule = (spec, r_lo, r_hi, freq) if spec.oscillation_aware else None
+    return _Mesh(rho, rho_w * rho * rho, ang_mu, ang_phi, ang_w, rule)
 
 
 def _meshes(q: QuadratureSpec, leaves, entries, r_bounds=None):
     """Coarse and fine mesh for the sum of the row leaves against the sum of
-    the column leaves, which covers the phases and extents of every entry."""
+    the column leaves, which covers the phases and extents of every entry.
+    When every entry takes the Filon path the radial rule resolves only the
+    largest residual frequency of the entries."""
     rows = functools.reduce(operator.add, [leaves[i] for i in sorted({i for i, _ in entries})])
     cols = functools.reduce(operator.add, [leaves[j] for j in sorted({j for _, j in entries})])
-    return build_mesh(q, rows, cols, r_bounds), build_mesh(q.refined(), rows, cols, r_bounds)
+    freq = None
+    if q.oscillation_aware and all(_carrier(leaves[i], leaves[j]) is not None for i, j in entries):
+        freq = max(_residual_freq(leaves[i], leaves[j]) for i, j in entries)
+    return (build_mesh(q, rows, cols, r_bounds, freq),
+            build_mesh(q.refined(), rows, cols, r_bounds, freq))
 
 
 def _accumulate(mesh: _Mesh, leaves, entries):
     """Value and L1 mass of <leaves[i], leaves[j]> for each (i, j) in
-    ``entries`` on one mesh, and the L1 mass of the entries' summed integrand.
+    ``entries`` on one mesh.
 
     Each leaf's parts are evaluated once per chunk however many entries it
     enters.  The integrand of an entry is
@@ -149,7 +196,12 @@ def _accumulate(mesh: _Mesh, leaves, entries):
     width is divided by the number of leaves it holds, at least two, so a
     chunk takes no more memory than the two operands of one pairing.  The
     rho array object is reused across chunks so the wavefunctions' radial
-    memoization stays hot."""
+    memoization stays hot.
+
+    On a mesh of an oscillation-aware spec an entry with a carrier c0 (see
+    `_carrier`) sums its value against the Filon radial weights of c0, built
+    once per mesh and distinct c0; every other value, and every L1 mass, is
+    the Gauss sum."""
     used = sorted({k for entry in entries for k in entry})
     rows = sorted({i for i, _ in entries})
     nr = mesh.rho.size
@@ -157,9 +209,12 @@ def _accumulate(mesh: _Mesh, leaves, entries):
     jac = mesh.rho_weight[:, None]
     nb = max(1, CHUNK_ELEMENTS // (nr * max(2, len(used))))
     by_column = sorted(range(len(entries)), key=lambda e: entries[e][1])
+    carriers = [None] * len(entries)
+    if mesh.radial_rule is not None:
+        carriers = [_carrier(leaves[i], leaves[j]) for i, j in entries]
+    filon = {c0: mesh.filon_rho_weight(c0) for c0 in set(carriers) - {None}}
     values = [0.0 + 0.0j for _ in entries]
     l1 = [0.0 for _ in entries]
-    total_l1 = 0.0
     for start in range(0, mesh.ang_mu.size, nb):
         sl = slice(start, start + nb)
         mu = mesh.ang_mu[sl][None, :]
@@ -169,7 +224,7 @@ def _accumulate(mesh: _Mesh, leaves, entries):
         parts = {k: leaves[k].parts(rho_col, mu, phi) for k in used}
         conj = {i: [(p, np.conjugate(s)) for p, s in parts[i].items()] for i in rows}
         vecs = {p: polarisation_vector(p, khat) for k in used for p in parts[k]}
-        dots, column, g_sum = {}, None, None
+        dots, column = {}, None
         for e in by_column:
             i, j = entries[e]
             if j != column:
@@ -186,11 +241,12 @@ def _accumulate(mesh: _Mesh, leaves, entries):
                     g = term if g is None else g + term
             if g is None:
                 g = np.zeros(w.shape, dtype=complex)
-            values[e] += complex(np.sum(g * w))
+            if carriers[e] is None:
+                values[e] += complex(np.sum(g * w))
+            else:
+                values[e] += complex(filon[carriers[e]] @ (g @ mesh.ang_weight[sl]))
             l1[e] += float(np.sum(np.abs(g) * w))
-            g_sum = g if g_sum is None else g_sum + g
-        total_l1 += float(np.sum(np.abs(g_sum) * w))
-    return values, l1, total_l1
+    return values, l1
 
 
 def gram(leaves, entries, quadrature: QuadratureSpec | None = None, r_bounds=None) -> dict:
@@ -207,8 +263,8 @@ def gram(leaves, entries, quadrature: QuadratureSpec | None = None, r_bounds=Non
         for i, j in entries:
             check_integrable(leaves[i], leaves[j])
     coarse, fine = _meshes(q, leaves, entries, r_bounds)
-    vals_c, _, _ = _accumulate(coarse, leaves, entries)
-    vals_f, l1_f, _ = _accumulate(fine, leaves, entries)
+    vals_c, _ = _accumulate(coarse, leaves, entries)
+    vals_f, l1_f = _accumulate(fine, leaves, entries)
     out = {}
     for entry, val_c, val_f, l1 in zip(entries, vals_c, vals_f, l1_f):
         err = abs(val_f - val_c)
@@ -281,7 +337,10 @@ def limit_T_study(
 
     Each row reports the total, the unwindowed part and the two remainder
     terms, all on a shared per-T mesh, so total = vhat + term2 + term3 holds
-    identically up to float addition."""
+    identically up to float addition.  Under an oscillation-aware spec each
+    part takes the Filon path (its phase pairs share c0 = t_c + u or
+    t_c + u + T), so the radial rule resolves |w| T plus the envelopes, not
+    the carriers.  ``scale`` is the sum of the three parts' L1 masses."""
     T_values = [float(T) for T in T_list]
     if not T_values or any(T <= 0 for T in T_values):
         raise ValueError("T_list must be nonempty and positive")
@@ -295,8 +354,8 @@ def limit_T_study(
         leaves = [term_wavefunction(params, which, T) for which in ("vhat", "term2", "term3")]
         leaves.append(f)
         coarse, fine = _meshes(q, leaves, entries)
-        vals_c, _, _ = _accumulate(coarse, leaves, entries)
-        vals_f, _, total_l1 = _accumulate(fine, leaves, entries)
+        vals_c, _ = _accumulate(coarse, leaves, entries)
+        vals_f, l1_f = _accumulate(fine, leaves, entries)
         total_c = sum(vals_c)
         total_f = sum(vals_f)
         rows.append(
@@ -307,7 +366,7 @@ def limit_T_study(
                 "term2": vals_f[1],
                 "term3": vals_f[2],
                 "err": abs(total_f - total_c),
-                "scale": total_l1,
+                "scale": sum(l1_f),
                 "node_count": coarse.node_count + fine.node_count,
             }
         )

@@ -99,9 +99,16 @@ class PhotonWaveFunction:
 
     * ``small_k_exponent``: p with |f(k)| = O(|k|^p) near 0 (integrability);
     * ``truncation_radius``: beyond it the amplitude is negligible or cut;
-    * ``phase_terms``: (c0, c1) pairs so the radial phases are approximately
-      exp(i rho (c0 + c1 mu)); used for frequency and resonance budgeting;
+    * ``phase_terms``: (c0, c1) pairs so the radial phases are
+      exp(i rho (c0 + c1 mu)) times a slower envelope; used for frequency and
+      resonance budgeting.  c0 must be exact: it is the direction-free phase,
+      which a pairing whose phase pairs share one c0 difference integrates
+      exactly (Filon weights in `pairing`).  c1 is a bound on the rest of the
+      phase's rate along rho (e.g. |w| T for k.w T);
     * ``freq_pad``: additive envelope bandwidth (support halfwidths);
+    * ``envelope_bandwidth``: envelope bandwidth left out of ``freq_pad`` (a
+      dressed profile's window); the Gauss path leaves it to |c0|, the Filon
+      path, which takes c0 out, adds it to its budget;
     * ``x_perp_extent``: spatial offset from the 3-axis, drives phi resolution.
     """
 
@@ -110,6 +117,7 @@ class PhotonWaveFunction:
     truncation_radius: float
     phase_terms: tuple = ((0.0, 0.0),)
     freq_pad: float = 0.0
+    envelope_bandwidth: float = 0.0
     x_perp_extent: float = 0.0
     label: str = ""
 
@@ -145,6 +153,7 @@ class PhotonWaveFunction:
             truncation_radius=max(self.truncation_radius, other.truncation_radius),
             phase_terms=terms,
             freq_pad=max(self.freq_pad, other.freq_pad),
+            envelope_bandwidth=max(self.envelope_bandwidth, other.envelope_bandwidth),
             x_perp_extent=max(self.x_perp_extent, other.x_perp_extent),
         )
 

@@ -190,6 +190,7 @@ def _dressed_wavefunction(params: DressingParams, which: str, T) -> PhotonWaveFu
         small_k_exponent=exponent,
         truncation_radius=_window_truncation(params),
         phase_terms=phases,
+        envelope_bandwidth=params.g.halfwidth,
         x_perp_extent=x_perp,
         label=("v_hat" if which == "vhat" else f"v_hat_T[{which}]"),
     )

@@ -25,9 +25,12 @@ an oscillatory kernel over the rule in place on bounded blocks (``sinc_matvec``
 is its sin(z)/z form), and ``unit_direction`` turns (mu, phi) into Cartesian
 unit vectors.
 
-Large oscillation frequencies are handled by scaling panel density linearly
-with the frequency rather than by Filon/Levin weights; this is adequate at desk
-scale (T up to about 10^3) and is the documented scalability boundary.
+A known linear phase e^(i omega rho) is integrated exactly by Filon-Legendre
+weights on the same nodes (``filon_gauss``, ``radial_filon_weights``; Iserles
+and Norsett 2005), so the panel density only has to follow what oscillates
+besides it.  Any other oscillation still raises the panel density linearly
+with its frequency; the direction-dependent phase c1 mu of the pairings is
+handled that way, which bounds them at desk scale (T up to about 10^3).
 """
 from __future__ import annotations
 
@@ -57,14 +60,108 @@ def gauss_rule(order: int):
 # composite rules and transform kernels
 # ----------------------------------------------------------------------------
 
+def _panels(lo: float, hi: float, npanels: int):
+    """Midpoints and half-widths, as columns, of ``npanels`` equal panels."""
+    edges = np.linspace(lo, hi, npanels + 1)
+    return 0.5 * (edges[:-1] + edges[1:])[:, None], 0.5 * (edges[1:] - edges[:-1])[:, None]
+
+
 def panel_gauss(lo: float, hi: float, npanels: int, order: int):
     """Composite Gauss-Legendre rule: ``npanels`` equal panels on [lo, hi]
     with ``order`` nodes each, returned flat (nodes, weights) panel by panel."""
     x, w = gauss_rule(order)
-    edges = np.linspace(lo, hi, npanels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
-    pts = 0.5 * (edges[:-1] + edges[1:])[:, None] + half * x
+    mid, half = _panels(lo, hi, npanels)
+    pts = mid + half * x
     return pts.ravel(), (half * w).ravel()
+
+
+def spherical_jn(nmax: int, kappa) -> np.ndarray:
+    """Spherical Bessel functions j_0 .. j_nmax at each entry of ``kappa``,
+    shape ``kappa.shape + (nmax + 1,)``.
+
+    |kappa| < 1 sums the power series, |kappa| > nmax runs the recurrence
+    j_(n+1) = (2n+1)/kappa j_n - j_(n-1) upward (stable for n < kappa), and
+    the range between runs it downward from n = 2 nmax + 40 (Miller), scaled
+    to the closed form of j_0 or j_1, whichever is larger.  Negative
+    arguments use j_n(-kappa) = (-1)^n j_n(kappa)."""
+    k = np.asarray(kappa, dtype=float)
+    x = np.abs(k).ravel()
+    out = np.zeros((x.size, nmax + 1))
+    n = np.arange(nmax + 1)
+
+    small = x < 1.0
+    if small.any():
+        xs = x[small, None]
+        # x^n / (2n+1)!! times sum_m (-x^2/2)^m / (m! (2n+3)(2n+5)...(2n+2m+1))
+        lead = xs**n / np.cumprod(2.0 * n + 1.0)
+        term = np.ones_like(lead)
+        total = np.ones_like(lead)
+        for m in range(1, 18):
+            term = term * (-0.5 * xs * xs) / (m * (2.0 * n + 2.0 * m + 1.0))
+            total = total + term
+        out[small] = lead * total
+
+    up = x > nmax
+    if up.any():
+        xu = x[up]
+        s, c = np.sin(xu), np.cos(xu)
+        out[up, 0] = s / xu
+        if nmax >= 1:
+            out[up, 1] = (s / xu - c) / xu
+        for m in range(1, nmax):
+            out[up, m + 1] = (2 * m + 1) / xu * out[up, m] - out[up, m - 1]
+
+    mid = ~small & ~up
+    if mid.any():
+        xm = x[mid]
+        top = 2 * nmax + 40
+        f_next, f = np.zeros_like(xm), np.ones_like(xm)
+        vals = np.empty((xm.size, nmax + 2))
+        for m in range(top, 0, -1):
+            if m <= nmax + 1:
+                vals[:, m] = f
+            f_next, f = f, (2 * m + 1) / xm * f - f_next
+        vals[:, 0] = f
+        s, c = np.sin(xm), np.cos(xm)
+        j0, j1 = s / xm, (s / xm - c) / xm
+        use0 = np.abs(j0) >= np.abs(j1)
+        scale = np.where(use0, j0 / vals[:, 0], j1 / vals[:, 1])
+        out[mid] = vals[:, : nmax + 1] * scale[:, None]
+
+    out[(k < 0).ravel()] *= (-1.0) ** n
+    return out.reshape(k.shape + (nmax + 1,))
+
+
+@lru_cache(maxsize=16)
+def _filon_basis(order: int):
+    """(2n+1) i^n P_n(x_j) for the Gauss nodes x_j of ``order``, shape
+    (n, j) with n < order."""
+    x, _ = gauss_rule(order)
+    n = np.arange(order)
+    powers = np.array([1.0, 1j, -1.0, -1j])[n % 4]
+    return (2.0 * n + 1.0)[:, None] * powers[:, None] * np.polynomial.legendre.legvander(x, order - 1).T
+
+
+def filon_gauss(lo: float, hi: float, npanels: int, order: int, omega: float) -> np.ndarray:
+    """Filon-Legendre weights W_j on the nodes of ``panel_gauss``: sum_j W_j
+    F(x_j) = int_lo^hi F(x) e^(i omega x) dx for F a polynomial of degree
+    < ``order`` on each panel, whatever omega.
+
+    On a panel with midpoint m and half-width h,
+
+        W_j = h e^(i omega m) w_j sum_(n < order) (2n+1) i^n j_n(omega h) P_n(x_j),
+
+    from e^(i kappa x) = sum_n (2n+1) i^n j_n(kappa) P_n(x) (Iserles and
+    Norsett 2005).  At omega = 0 they are the Gauss weights, bit for bit."""
+    return _filon_weights(*_panels(lo, hi, npanels), order, omega)
+
+
+def _filon_weights(mid: np.ndarray, half: np.ndarray, order: int, omega: float) -> np.ndarray:
+    """`filon_gauss` weights on the panels with these midpoint and half-width
+    columns, panel by panel."""
+    _, w = gauss_rule(order)
+    demod = spherical_jn(order - 1, omega * half[:, 0]) @ _filon_basis(order)
+    return ((half * w) * demod * np.exp(1j * omega * mid)).ravel()
 
 
 def panel_count(freq: float, length: float, nodes_per_wavelength: float,
@@ -191,15 +288,11 @@ def geometric_breakpoints(r_lo: float, r_hi: float, panels_per_decade: int) -> n
     return np.concatenate([edges, [r_hi]])
 
 
-def radial_mesh(spec: QuadratureSpec, r_lo: float, r_hi: float, freq: float = 0.0):
-    """Graded, oscillation-aware radial nodes and weights on [r_lo, r_hi].
-
-    ``freq`` is the maximum |d(phase)/d rho| of the integrand; each geometric
-    panel is split uniformly until the Gauss rule on every subpanel sees at
-    least ``nodes_per_wavelength`` nodes per wavelength 2 pi / freq.
-    """
+def _radial_panels(spec: QuadratureSpec, r_lo: float, r_hi: float, freq: float = 0.0):
+    """The panels of `radial_mesh`: (a, b, nsub) for each geometric panel
+    [a, b], split into nsub equal subpanels."""
     edges = geometric_breakpoints(r_lo, r_hi, spec.panels_per_decade)
-    nodes, weights = [], []
+    panels = []
     budget = 0
     for a, b in zip(edges[:-1], edges[1:]):
         nsub = 1
@@ -211,10 +304,30 @@ def radial_mesh(spec: QuadratureSpec, r_lo: float, r_hi: float, freq: float = 0.
                 f"radial mesh would need more than {MAX_RADIAL_NODES} nodes "
                 f"(freq={freq:.3g}, interval=[{r_lo:.3g}, {r_hi:.3g}])"
             )
-        x, w = panel_gauss(a, b, nsub, spec.gauss_order)
-        nodes.append(x)
-        weights.append(w)
-    return np.concatenate(nodes), np.concatenate(weights)
+        panels.append((a, b, nsub))
+    return panels
+
+
+def radial_mesh(spec: QuadratureSpec, r_lo: float, r_hi: float, freq: float = 0.0):
+    """Graded, oscillation-aware radial nodes and weights on [r_lo, r_hi].
+
+    ``freq`` is the maximum |d(phase)/d rho| of the integrand; each geometric
+    panel is split uniformly until the Gauss rule on every subpanel sees at
+    least ``nodes_per_wavelength`` nodes per wavelength 2 pi / freq.
+    """
+    rules = [panel_gauss(a, b, n, spec.gauss_order) for a, b, n in _radial_panels(spec, r_lo, r_hi, freq)]
+    return np.concatenate([x for x, _ in rules]), np.concatenate([w for _, w in rules])
+
+
+def radial_filon_weights(spec: QuadratureSpec, r_lo: float, r_hi: float, freq: float,
+                         omega: float) -> np.ndarray:
+    """`filon_gauss` weights for the factor e^(i omega rho) on the nodes of
+    ``radial_mesh(spec, r_lo, r_hi, freq)``; ``freq`` then only has to cover
+    what the rest of the integrand oscillates."""
+    panels = [_panels(a, b, n) for a, b, n in _radial_panels(spec, r_lo, r_hi, freq)]
+    mid = np.concatenate([m for m, _ in panels])
+    half = np.concatenate([h for _, h in panels])
+    return _filon_weights(mid, half, spec.gauss_order, omega)
 
 
 def angular_mesh(spec: QuadratureSpec, n_mu: int | None = None, n_phi: int | None = None):

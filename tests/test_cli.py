@@ -1,7 +1,11 @@
+import hashlib
 import json
 import os
+import platform
 import subprocess
 import sys
+
+import numpy as np
 
 import pytest
 import yaml
@@ -140,6 +144,31 @@ def test_valid_window_lists_parse(tmp_path):
     )
     cfg = cli.parse_config(write_config(tmp_path, text))
     assert [s["T_list"] for s in cfg.studies] == [[], [1.0, 10.0, 100.0]]
+
+
+def test_decay_pair_outside_windows_rejected(tmp_path, capsys):
+    # term2-decay compares two rows of the study; a window it names that the
+    # study does not run would leave only the row identity to check
+    text = MINI_CONFIG.split("studies:")[0] + (
+        "studies:\n  - name: difference-norm\n"
+        "  - name: limit-T\n    field: probe\n    T_list: [1.0, 10.0]\n"
+        "    decay_pair: [1.0, 50.0]\n"
+    )
+    rc = cli.run(write_config(tmp_path, text), str(tmp_path / "o"))
+    assert rc == 2
+    assert "studies[1].decay_pair:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_report_records_environment_and_config_hash(tmp_path):
+    path = write_config(tmp_path, "params: {alpha: 0.01}\n")
+    assert cli.run(path, str(tmp_path / "o")) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    with open(path, "rb") as fh:
+        assert report["config_sha256"] == hashlib.sha256(fh.read()).hexdigest()
+    assert report["environment"] == {"python": platform.python_version(),
+                                     "numpy": np.__version__,
+                                     "platform": "-".join(platform.uname()[i] for i in (0, 2, 4))}
 
 
 def test_lightlike_velocity_rejected_at_parse_time(tmp_path, capsys):

@@ -19,7 +19,7 @@ from softcone.pairing import (
     pair,
 )
 from softcone.profiles import DressingParams, profile_wavefunction
-from softcone.quadrature import QuadratureSpec
+from softcone.quadrature import QuadratureSpec, radial_mesh
 from softcone.testfields import photon_wavefunction
 from tests.conftest import make_field, make_random_label
 
@@ -128,15 +128,16 @@ def test_pair_is_a_one_entry_gram(params, quad, forward_probe):
 
 @pytest.mark.parametrize("w", [(0.0, 0.0, 0.3), (0.2, 0.1, 0.2), (0.0, 0.0, 0.0)],
                          ids=["on-axis", "off-axis", "at-rest"])
-def test_limit_T_meshes_are_those_of_the_total_profile(quad, forward_probe, monkeypatch, w):
-    # the sum of v_hat, term2 and term3 carries the phase terms and extents
-    # of the windowed profile, so it sizes the same meshes
+def test_limit_T_radial_rule_is_the_residual_one(quad, forward_probe, monkeypatch, w):
+    # the radial rule resolves |w| T plus the envelopes (probe pads 0.5 + 0.5,
+    # window halfwidth 1), not the carriers t_c + u (+ T); the angular rule is
+    # the windowed profile's
     params = DressingParams(w=w)
     meshes = []
 
     def spy(mesh, leaves, entries):
         meshes.append(mesh)
-        return [0j] * 3, [0.0] * 3, 0.0
+        return [0j] * 3, [0.0] * 3
 
     monkeypatch.setattr(pairing, "_accumulate", spy)
     T_list = (1.0, 10.0, 100.0)
@@ -145,11 +146,49 @@ def test_limit_T_meshes_are_those_of_the_total_profile(quad, forward_probe, monk
     want = []
     for T in T_list:
         total = profile_wavefunction(params, "v_hat_T", T=T)
-        want += [build_mesh(quad, total, f), build_mesh(quad.refined(), total, f)]
+        residual = np.linalg.norm(w) * T + 1.0 + 1.0
+        for q in (quad, quad.refined()):
+            r_hi = min(q.r_max, total.truncation_radius, f.truncation_radius)
+            want.append((radial_mesh(q, q.r_min, r_hi, residual)[0], build_mesh(q, total, f)))
     assert len(meshes) == len(want)
-    for got, ref in zip(meshes, want):
-        for name in ("rho", "rho_weight", "ang_mu", "ang_phi", "ang_weight"):
+    for got, (rho, ref) in zip(meshes, want):
+        assert np.array_equal(got.rho, rho)
+        assert got.rho.size < ref.rho.size
+        for name in ("ang_mu", "ang_phi", "ang_weight"):
             assert np.array_equal(getattr(got, name), getattr(ref, name))
+
+
+def _limit_T_against_total(params, quad, probe, T_list):
+    """Worst |(vhat + term2 + term3) - <v_hat_T, f>| over the total's scale:
+    the sum on the Filon path, the total on the Gauss path and its mesh."""
+    f = photon_wavefunction(probe)
+    worst = 0.0
+    for row in limit_T_study(params, probe, T_list, quad):
+        ref = pair(profile_wavefunction(params, "v_hat_T", T=row["T"]), f, quad)
+        worst = max(worst, abs(row["vhat"] + row["term2"] + row["term3"] - ref.value) / ref.scale)
+    return worst
+
+
+def test_limit_T_parts_match_total_across_rules(params, quad, forward_probe):
+    assert _limit_T_against_total(params, quad, forward_probe, (1.0, 10.0, 100.0)) <= 1e-10
+
+
+def test_limit_T_cross_rule_check_fails_with_shifted_carrier(params, quad, forward_probe,
+                                                             monkeypatch):
+    # negative control: a probe that declares c0 + 40 is demodulated by the
+    # wrong carrier, which the residual radial rule cannot resolve
+    real = pairing.photon_wavefunction
+
+    def shifted(fields):
+        wf = real(fields)
+        return replace(wf, phase_terms=tuple((c0 + 40.0, c1) for c0, c1 in wf.phase_terms))
+
+    monkeypatch.setattr(pairing, "photon_wavefunction", shifted)
+    try:
+        worst = _limit_T_against_total(params, quad, forward_probe, (10.0,))
+    except ToleranceNotMet:
+        return
+    assert worst > 1e-10
 
 
 def test_build_mesh_respects_truncation(quad, forward_probe):

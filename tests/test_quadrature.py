@@ -9,14 +9,17 @@ from softcone.quadrature import (
     KERNEL_CHUNK,
     QuadratureSpec,
     angular_mesh,
+    filon_gauss,
     freq_bucket,
     geometric_breakpoints,
     integrate_1d,
     kernel_matvec,
     panel_count,
     panel_gauss,
+    radial_filon_weights,
     radial_mesh,
     sinc_matvec,
+    spherical_jn,
     transform_rule,
     unit_direction,
 )
@@ -205,3 +208,76 @@ def test_unit_direction_is_unit_and_matches_angles():
     assert np.allclose(kx * kx + ky * ky + kz * kz, 1.0, rtol=0, atol=1e-15)
     assert np.array_equal(kz, mu)
     assert np.allclose(np.arctan2(ky[:3], kx[:3]) % (2 * math.pi), phi[:3], atol=1e-14)
+
+
+# ---------------------------------------------------------- Filon weights
+
+def test_spherical_jn_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    kappa = np.concatenate([[0.0], np.geomspace(1e-8, 1e4, 1201), np.arange(0.25, 40.0, 0.25)])
+    kappa = np.concatenate([kappa, -kappa])
+    got = spherical_jn(15, kappa)
+    want = np.stack([special.spherical_jn(n, kappa) for n in range(16)], axis=-1)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14
+    nonzero = want != 0.0
+    assert np.max(np.abs(got - want)[nonzero] / np.abs(want[nonzero])) <= 1e-11
+    assert np.array_equal(got[0], np.eye(16)[0])
+
+
+def test_filon_weights_are_gauss_weights_at_zero_frequency():
+    for lo, hi, npanels in ((-0.7, 1.3, 1), (1e-3, 2.0, 5)):
+        got = filon_gauss(lo, hi, npanels, 16, 0.0)
+        assert np.array_equal(got.real, panel_gauss(lo, hi, npanels, 16)[1])
+        assert not np.any(got.imag)
+    q = QuadratureSpec()
+    _, w = radial_mesh(q, 1e-8, 40.0, 3.0)
+    assert np.array_equal(radial_filon_weights(q, 1e-8, 40.0, 3.0, 0.0), w)
+
+
+def _monomial_moments(lo, hi, omega, kmax):
+    """int_lo^hi x^k e^(i omega x) dx for k <= kmax, from the antiderivative
+    in 150-digit arithmetic."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(150):
+        a, b = mpmath.mpf(lo), mpmath.mpf(hi)
+        out = []
+        for k in range(kmax + 1):
+            if omega == 0.0:
+                out.append(complex((b ** (k + 1) - a ** (k + 1)) / (k + 1)))
+                continue
+            iw = mpmath.mpc(0, omega)
+
+            def antiderivative(x):
+                return mpmath.exp(iw * x) * mpmath.fsum(
+                    (-1) ** m * mpmath.factorial(k) / mpmath.factorial(k - m)
+                    * x ** (k - m) / iw ** (m + 1) for m in range(k + 1))
+
+            out.append(complex(antiderivative(b) - antiderivative(a)))
+    return out
+
+
+def _worst_monomial_error(lo, hi, drop_panel_phase=False):
+    """Worst error of the one-panel Filon rule on x^k e^(i omega x), k <= 15,
+    |omega| <= 1e4, relative to int |x|^k."""
+    x, _ = panel_gauss(lo, hi, 1, 16)
+    worst = 0.0
+    for omega in (0.0, 1e-3, 0.7, 3.0, 10.0, 57.0, 300.0, 1e3, 1e4):
+        for sign in (1.0, -1.0):
+            w = filon_gauss(lo, hi, 1, 16, sign * omega)
+            if drop_panel_phase:
+                w = w * np.exp(-0.5j * sign * omega * (lo + hi))
+            for k, want in enumerate(_monomial_moments(lo, hi, sign * omega, 15)):
+                l1 = (abs(hi) ** (k + 1) + abs(lo) ** (k + 1)) / (k + 1)
+                worst = max(worst, abs(np.sum(w * x**k) - want) / l1)
+    return worst
+
+
+def test_filon_weights_integrate_oscillating_monomials():
+    assert _worst_monomial_error(-0.5, 1.5) <= 1e-13
+
+
+def test_filon_check_fails_without_panel_phase():
+    # negative control: the same weights without e^(i omega m) on a panel
+    # whose midpoint m is not 0
+    assert _worst_monomial_error(-0.5, 1.5, drop_panel_phase=True) > 1e-3
