@@ -27,10 +27,7 @@ from .pairing import (
 from .photon import (
     PhotonWaveFunction,
     check_integrable,
-    helicity_components,
-    inner_product,
     polarisation,
-    symplectic,
     transverse_project,
     zero_wavefunction,
 )
@@ -39,9 +36,7 @@ from .profiles import (
     angular_factor,
     evaluate,
     pairwise_angular_factor,
-    pairwise_divergence_slope,
     profile_wavefunction,
-    term_wavefunction,
     v_hat_T_direct,
 )
 from .quadrature import QuadratureSpec
@@ -49,14 +44,12 @@ from .testfields import (
     BumpProfile,
     SeparableTerm,
     TestFieldPair,
-    fourier_transform_1d,
     photon_wavefunction,
 )
 from .wavecheck import (
     GridField,
     WaveSolution,
     bj_support_check,
-    lemma_a2_radius_check,
     mass_outside_cone,
     sample_grid,
     symplectic_time_invariance,

@@ -217,13 +217,13 @@ def _validate_study(where: str, entry: dict, fields: dict):
     elif name == "huyghens":
         if not opts["T_list"] and not opts["include_v_hat"]:
             raise ConfigError(f"{where}: huyghens with an empty T_list needs include_v_hat")
-    elif name == "limit-T" and entry.get("decay_pair"):
+    elif name == "limit-T" and opts["decay_pair"]:
         windows = {float(T) for T in opts["T_list"]}
-        missing = [T for T in entry["decay_pair"] if float(T) not in windows]
+        missing = [T for T in opts["decay_pair"] if float(T) not in windows]
         if missing:
             raise ConfigError(
-                f"{where}.decay_pair: windows {missing} are not in T_list {opts['T_list']}; "
-                "term2-decay compares two of its rows"
+                f"{where}.decay_pair: windows {missing} of {opts['decay_pair']} are not in "
+                f"T_list {opts['T_list']}; term2-decay compares two of its rows"
             )
 
 

@@ -45,7 +45,7 @@ import numpy as np
 from .errors import SupportNotInForwardCone, ToleranceNotMet
 from .geometry import ConeRegion, Point4, double_cone_in_cone
 from .photon import PhotonWaveFunction, check_integrable, polarisation_vector
-from .profiles import DressingParams, profile_wavefunction, term_wavefunction
+from .profiles import DressingParams, profile_wavefunction
 from .quadrature import (
     QuadratureSpec,
     angular_mesh,
@@ -351,8 +351,8 @@ def limit_T_study(
     entries = [(0, 3), (1, 3), (2, 3)]
     rows = []
     for T in T_values:
-        leaves = [term_wavefunction(params, which, T) for which in ("vhat", "term2", "term3")]
-        leaves.append(f)
+        leaves = [profile_wavefunction(params, "v_hat"), profile_wavefunction(params, "term2", T),
+                  profile_wavefunction(params, "term3", T), f]
         coarse, fine = _meshes(q, leaves, entries)
         vals_c, _ = _accumulate(coarse, leaves, entries)
         vals_f, l1_f = _accumulate(fine, leaves, entries)

@@ -1,9 +1,8 @@
-"""Single-photon kinematics and the momentum-space pairing interface.
+"""Single-photon kinematics and the wavefunction value type.
 
-Provides the fixed polarisation frame, transverse projection, helicity
-components, the `PhotonWaveFunction` value type shared by test-field images
-and dressing profiles, and the scalar/symplectic pairings (delegated to the
-quadrature engine in `pairing`).
+Provides the fixed polarisation frame, transverse projection and the
+`PhotonWaveFunction` value type shared by test-field images and dressing
+profiles; `pairing` computes their scalar product and symplectic form.
 
 A wavefunction is held as a sum of parts, scalar(rho, mu, phi) times a
 polarisation vector that depends on the direction alone.  A polarisation is a
@@ -31,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import AxisSingularity, NonIntegrablePairing
-from .quadrature import QuadratureSpec, unit_direction
+from .quadrature import unit_direction
 
 AXIS_TOLERANCE = 1e-12
 
@@ -70,16 +69,6 @@ def polarisation_vector(key, khat):
         ku = kx * u[0] + ky * u[1] + kz * u[2]
         return u[0] - ku * kx, u[1] - ku * ky, u[2] - ku * kz
     return ky * u[2] - kz * u[1], kz * u[0] - kx * u[2], kx * u[1] - ky * u[0]
-
-
-def helicity_components(f: "PhotonWaveFunction", k):
-    """(f_plus, f_minus) = (eps_plus . f(k), eps_minus . f(k)); axis excluded."""
-    k = np.asarray(k, dtype=float)
-    rho = np.linalg.norm(k, axis=-1, keepdims=True)
-    khat = k / rho
-    ep, em = polarisation(khat)
-    val = f(k)
-    return np.sum(ep * val, axis=-1), np.sum(em * val, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -207,17 +196,3 @@ def check_integrable(v: PhotonWaveFunction, f: PhotonWaveFunction) -> None:
             f"combined small-k exponent {v.small_k_exponent} + {f.small_k_exponent} "
             "<= -3: pairing not absolutely integrable near k = 0"
         )
-
-
-def inner_product(f: PhotonWaveFunction, g: PhotonWaveFunction,
-                  q: QuadratureSpec) -> complex:
-    """<f, g> = int d3k conj(f(k)) . g(k), antilinear in the first slot."""
-    from . import pairing
-
-    return pairing.pair(f, g, q).value
-
-
-def symplectic(f: PhotonWaveFunction, g: PhotonWaveFunction,
-               q: QuadratureSpec) -> float:
-    """sigma(f, g) = Im <f, g>."""
-    return inner_product(f, g, q).imag

@@ -25,7 +25,7 @@ physical profile; other values deliberately break the infrared matching).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -41,8 +41,7 @@ from .testfields import (
 )
 
 TWO_PI = 2.0 * math.pi
-PROFILE_KINDS = ("v_sigma", "v_limit", "v_hat", "v_hat_T")
-TERM_KINDS = ("vhat", "term2", "term3", "total")
+PROFILE_KINDS = ("v_sigma", "v_limit", "v_hat", "v_hat_T", "term2", "term3")
 
 
 @dataclass(frozen=True)
@@ -140,7 +139,8 @@ def _sharp_wavefunction(params: DressingParams, sigma_lo: float) -> PhotonWaveFu
     )
 
 
-def _dressed_wavefunction(params: DressingParams, which: str, T) -> PhotonWaveFunction:
+def _dressed_wavefunction(params: DressingParams, kind: str, T) -> PhotonWaveFunction:
+    """``v_hat``, ``v_hat_T`` or one of its remainders ``term2``, ``term3``."""
     sqrt_alpha = math.sqrt(params.alpha)
     u = params.u
     tr, scale = _window_transform(params.g, params.g_scale)
@@ -159,20 +159,19 @@ def _dressed_wavefunction(params: DressingParams, which: str, T) -> PhotonWaveFu
         g = gt(rho)
         phase_u = np.exp(-1j * u * rho)
         acc = 0.0
-        if which in ("vhat", "total"):
+        if kind in ("v_hat", "v_hat_T"):
             acc = acc + (g * phase_u * rho ** -1.5) * inv_denom
-        if which in ("term2", "term3", "total"):
-            if which in ("term2", "total"):
-                b = rho * kw
-                bracket = 1j * T * np.exp(0.5j * b * T) * np.sinc(b * T / TWO_PI)
-                acc = acc - g * np.exp(-1j * (u + T) * rho) * rho ** -0.5 * bracket
-            if which in ("term3", "total"):
-                acc = acc - (
-                    g * phase_u * rho ** -1.5 * np.exp(-1j * rho * (1.0 - kw) * T)
-                ) * inv_denom
+        if kind in ("term2", "v_hat_T"):
+            b = rho * kw
+            bracket = 1j * T * np.exp(0.5j * b * T) * np.sinc(b * T / TWO_PI)
+            acc = acc - g * np.exp(-1j * (u + T) * rho) * rho ** -0.5 * bracket
+        if kind in ("term3", "v_hat_T"):
+            acc = acc - (
+                g * phase_u * rho ** -1.5 * np.exp(-1j * rho * (1.0 - kw) * T)
+            ) * inv_denom
         return {key: sqrt_alpha * acc}
 
-    if which == "vhat":
+    if kind == "v_hat":
         phases = ((-u, 0.0),)
         exponent = -1.5
         x_perp = 0.0
@@ -181,9 +180,9 @@ def _dressed_wavefunction(params: DressingParams, which: str, T) -> PhotonWaveFu
         phases = {
             "term2": ((-(u + T), 0.0), (-(u + T), span)),
             "term3": ((-(u + T), span),),
-            "total": ((-u, 0.0), (-(u + T), 0.0), (-(u + T), span)),
-        }[which]
-        exponent = {"term2": -0.5, "term3": -1.5, "total": -0.5}[which]
+            "v_hat_T": ((-u, 0.0), (-(u + T), 0.0), (-(u + T), span)),
+        }[kind]
+        exponent = {"term2": -0.5, "term3": -1.5, "v_hat_T": -0.5}[kind]
         x_perp = w_perp * T
     return PhotonWaveFunction(
         evaluator=evaluator,
@@ -192,47 +191,29 @@ def _dressed_wavefunction(params: DressingParams, which: str, T) -> PhotonWaveFu
         phase_terms=phases,
         envelope_bandwidth=params.g.halfwidth,
         x_perp_extent=x_perp,
-        label=("v_hat" if which == "vhat" else f"v_hat_T[{which}]"),
+        label=kind,
     )
 
 
 @lru_cache(maxsize=128)
 def _cached_wavefunction(params: DressingParams, kind: str, T) -> PhotonWaveFunction:
-    if kind == "v_sigma":
-        return _sharp_wavefunction(params, params.sigma)
-    if kind == "v_limit":
-        return _sharp_wavefunction(params, 0.0)
-    if kind == "v_hat":
-        return _dressed_wavefunction(params, "vhat", None)
-    if kind == "v_hat_T":
-        return _dressed_wavefunction(params, "total", float(T))
-    if kind in ("term2", "term3"):
-        return _dressed_wavefunction(params, kind, float(T))
-    raise ValueError(f"unknown profile kind {kind!r}")
+    if kind in ("v_sigma", "v_limit"):
+        return _sharp_wavefunction(params, params.sigma if kind == "v_sigma" else 0.0)
+    return _dressed_wavefunction(params, kind, None if T is None else float(T))
 
 
 def profile_wavefunction(params: DressingParams, kind: str, T: float | None = None):
-    """Wavefunction view of a dressing profile; ``v_hat_T`` takes a window
-    length T >= 0 (T = 0 is the empty window, identically zero)."""
+    """Wavefunction view of a dressing profile.  ``v_hat_T`` and its two
+    remainders ``term2`` and ``term3`` (v_hat_T = v_hat + term2 + term3) take
+    a window length T >= 0 (T = 0 is the empty window, identically zero)."""
     if kind not in PROFILE_KINDS:
         raise ValueError(f"kind must be one of {PROFILE_KINDS}")
-    if kind == "v_hat_T":
+    if kind in ("v_hat_T", "term2", "term3"):
         if T is None or not (T >= 0):
-            raise ValueError("v_hat_T requires an emission window length T >= 0")
+            raise ValueError(f"{kind} requires an emission window length T >= 0")
     elif T is not None:
         raise ValueError(f"kind {kind!r} does not take a window length")
     return _cached_wavefunction(params, kind, T)
-
-
-def term_wavefunction(params: DressingParams, which: str, T: float) -> PhotonWaveFunction:
-    """One constituent of the ``v_hat_T`` closed form (for decay studies)."""
-    if which not in TERM_KINDS:
-        raise ValueError(f"which must be one of {TERM_KINDS}")
-    if which == "vhat":
-        return _cached_wavefunction(params, "v_hat", None)
-    if which == "total":
-        return _cached_wavefunction(params, "v_hat_T", float(T))
-    return _cached_wavefunction(params, which, float(T))
 
 
 def evaluate(params: DressingParams, kind: str, k, T: float | None = None) -> np.ndarray:
@@ -277,29 +258,6 @@ def v_hat_T_direct(params: DressingParams, T: float, k) -> np.ndarray:
         * outer
     )
     return coeff * transverse_project(khat, params.w_vec)
-
-
-def pairwise_divergence_slope(
-    params: DressingParams,
-    w_first,
-    w_second,
-    sigma_grid=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
-    quadrature=None,
-):
-    """Slope of |v_limit(w) - v_limit(w')|^2 restricted to [sigma, kappa]
-    against ln(kappa/sigma); zero exactly when the velocities coincide."""
-    from . import pairing
-
-    pa = replace(params, w=tuple(np.asarray(w_first, dtype=float)))
-    pb = replace(params, w=tuple(np.asarray(w_second, dtype=float)))
-    diff = profile_wavefunction(pa, "v_limit") - profile_wavefunction(pb, "v_limit")
-    xs, ys = [], []
-    for sigma in sorted(sigma_grid, reverse=True):
-        res = pairing.pair(diff, diff, quadrature, r_bounds=(float(sigma), params.kappa))
-        xs.append(math.log(params.kappa / float(sigma)))
-        ys.append(res.value.real)
-    slope = float(np.polyfit(xs, ys, 1)[0])
-    return slope
 
 
 def angular_factor(speed: float) -> float:

@@ -114,6 +114,20 @@ def _fit_slope(xs, ys) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
+def _shell_norms(v, sigmas, top: float, quadrature) -> list:
+    """(sigma, ||v||^2 on [sigma, top], err) for each sigma of a descending
+    grid.  Each annulus [sigma_k, sigma_(k-1)], with sigma_0 = top, is paired
+    once, and the shells and their error estimates are summed from the top;
+    a repeated sigma adds an empty annulus."""
+    rows, norm, err, hi = [], 0.0, 0.0, top
+    for sigma in sigmas:
+        if sigma != hi or not rows:
+            res = pairing.pair(v, v, quadrature, r_bounds=(sigma, hi))
+            norm, err, hi = norm + res.value.real, err + res.error_estimate, sigma
+        rows.append((sigma, norm, err))
+    return rows
+
+
 def _slope_check(tag: str, slope: float, oracle: float, zero: bool, rtol: float) -> dict:
     """Exactly zero for a case whose slope is zero, otherwise within rtol of
     the oracle."""
@@ -126,15 +140,11 @@ def _slope_check(tag: str, slope: float, oracle: float, zero: bool, rtol: float)
 def ir_divergence(params, quadrature, fields, opts):
     opts = with_defaults("ir-divergence", opts)
     grid = sorted((float(s) for s in opts["sigma_grid"]), reverse=True)
+    xs = [math.log(params.kappa / s) for s in grid]
     checks, rows, csvs = [], [], {}
     for speed in (float(v) for v in opts["speeds"]):
         p = replace(params, w=(0.0, 0.0, speed))
-        v = profiles.profile_wavefunction(p, "v_limit")
-        table = []
-        for sigma in grid:
-            res = pairing.pair(v, v, quadrature, r_bounds=(sigma, p.kappa))
-            table.append((sigma, res.value.real, res.error_estimate))
-        xs = [math.log(p.kappa / s) for s, _, _ in table]
+        table = _shell_norms(profiles.profile_wavefunction(p, "v_limit"), grid, p.kappa, quadrature)
         slope = _fit_slope(xs, [n for _, n, _ in table])
         oracle = p.alpha * profiles.angular_factor(speed)
         checks.append(_slope_check(f"v={speed:g}", slope, oracle, speed == 0.0,
@@ -146,12 +156,16 @@ def ir_divergence(params, quadrature, fields, opts):
 
 def superselection_slope(params, quadrature, fields, opts):
     opts = with_defaults("superselection-slope", opts)
-    grid = tuple(float(s) for s in opts["sigma_grid"])
+    grid = sorted((float(s) for s in opts["sigma_grid"]), reverse=True)
+    xs = [math.log(params.kappa / s) for s in grid]
     checks, rows, table = [], [], []
     for wa, wb in opts["pairs"]:
         wa = tuple(float(c) for c in wa)
         wb = tuple(float(c) for c in wb)
-        slope = profiles.pairwise_divergence_slope(params, wa, wb, grid, quadrature)
+        diff = (profiles.profile_wavefunction(replace(params, w=wa), "v_limit")
+                - profiles.profile_wavefunction(replace(params, w=wb), "v_limit"))
+        shells = _shell_norms(diff, grid, params.kappa, quadrature)
+        slope = _fit_slope(xs, [n for _, n, _ in shells])
         oracle = params.alpha * profiles.pairwise_angular_factor(wa, wb)
         checks.append(_slope_check(f"w={wa}|w'={wb}", slope, oracle, wa == wb,
                                    float(opts["slope_rtol"])))
@@ -174,11 +188,9 @@ def difference_norm(params, quadrature, fields, opts):
     results = {}
     for variant, p in (("matched", params), ("violated", replace(params, g_scale=2.0))):
         diff = profiles.profile_wavefunction(p, "v_limit") - profiles.profile_wavefunction(p, "v_hat")
-        norms = []
-        for sigma in probes:
-            res = pairing.pair(diff, diff, quadrature, r_bounds=(sigma, diff.truncation_radius))
-            norms.append(res.value.real)
-            table.append((variant, sigma, res.value.real, res.error_estimate))
+        shells = _shell_norms(diff, probes, diff.truncation_radius, quadrature)
+        norms = [n for _, n, _ in shells]
+        table.extend((variant, *shell) for shell in shells)
         results[variant] = norms
         rows.append({"variant": variant, "sigma_probes": probes, "norms": norms})
     spread = max(results["matched"]) - min(results["matched"])

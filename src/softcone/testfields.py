@@ -30,7 +30,6 @@ from .geometry import DoubleCone
 from .photon import PhotonWaveFunction
 from .quadrature import (
     freq_bucket,
-    integrate_1d,
     kernel_matvec,
     sinc_matvec,
     transform_rule,
@@ -72,17 +71,6 @@ class BumpProfile:
     @property
     def support(self):
         return (self.center - self.halfwidth, self.center + self.halfwidth)
-
-
-def fourier_transform_1d(b: BumpProfile, omega: float) -> complex:
-    """(2 pi)^(-1/2) int e^(-i omega t) b(t) dt by panel-doubling quadrature
-    on the support interval (relative tolerance 1e-10)."""
-    lo, hi = b.support
-    val = integrate_1d(
-        lambda t: b(t) * np.exp(-1j * omega * t), lo, hi,
-        rel_tol=1e-10, freq=abs(omega),
-    )
-    return val / math.sqrt(TWO_PI)
 
 
 class _SingleSlotMemo:

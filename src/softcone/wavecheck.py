@@ -19,8 +19,7 @@ The module provides the three numerical witnesses used downstream:
 * time-invariance of the classical symplectic pairing on a spatial grid,
 * finite propagation speed (mass outside the grown support ball),
 * spatial support of the inverse transform of the cos-weighted on-shell
-  combination of a magnetic test field, and the localization radius u + T of
-  the windowed dressing profile.
+  combination of a magnetic test field.
 """
 from __future__ import annotations
 
@@ -30,7 +29,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SoftconeError
-from .geometry import ConeRegion, Point4, double_cone_in_cone
 # perfbench/spans.py reads _bucket and the WaveSolution._rules it keys
 from .quadrature import freq_bucket as _bucket
 from .quadrature import sinc_matvec, transform_rule
@@ -40,7 +38,6 @@ from .testfields import (
     TestFieldPair,
     TimeBumpTransform,
     _truncation_radius,
-    photon_wavefunction,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -314,32 +311,3 @@ def bj_support_check(fields: TestFieldPair, probe_radii) -> list:
     density = radii * radii * np.sum(h_vec * h_vec, axis=-1)
     total = float(np.sum(density))
     return [float(np.sum(density[radii > r])) / total if total > 0 else 0.0 for r in probe_radii]
-
-
-def lemma_a2_radius_check(
-    params,
-    T: float,
-    f_probe: TestFieldPair,
-    quadrature=None,
-    enforce_support: bool = True,
-) -> float:
-    """|sigma(-i v_hat_T, f_probe)| for probes that cannot see the emission
-    region: either beyond spatial radius u + T from the origin, or inside
-    the forward cone.  Small values witness the localization radius u + T."""
-    from .pairing import pair
-    from .profiles import profile_wavefunction
-
-    support = f_probe.support
-    clearance = float(np.linalg.norm(support.center.x)) - support.radius
-    beyond = clearance > params.u + T
-    inside_forward = double_cone_in_cone(
-        support, ConeRegion("forward", Point4(0.0, np.zeros(3)))
-    )
-    if enforce_support and not (beyond or inside_forward):
-        raise SoftconeError(
-            "probe support neither clears the emission radius u + T "
-            "nor sits inside the forward cone"
-        )
-    v = profile_wavefunction(params, "v_hat_T", T)
-    res = pair(v, photon_wavefunction(f_probe), quadrature)
-    return abs(float(res.value.real))

@@ -232,6 +232,7 @@ def test_region_outline_lists_triangle_vertices(tmp_path):
         "  - name: limit-T\n"
         "    field: probe\n"
         "    T_list: [1.0]\n"
+        "    decay_pair: []\n"
         "    region_T: [3.0]\n"
     )
     path = write_config(tmp_path, text)
@@ -248,8 +249,11 @@ def test_region_outline_lists_triangle_vertices(tmp_path):
         ("  - name: huyghens\n    field: probe\n    T_list: []\n    include_v_hat: false\n",
          "include_v_hat"),
         ("  - name: weyl-laws\n    n_labels: 2\n", "n_labels"),
+        # the default decay_pair [1, 100] names a window this T_list lacks
+        ("  - name: limit-T\n    field: probe\n    T_list: [1.0, 10.0]\n", "decay_pair"),
     ],
-    ids=["locality-without-configurations", "huyghens-empty", "weyl-laws-two-labels"],
+    ids=["locality-without-configurations", "huyghens-empty", "weyl-laws-two-labels",
+         "limit-T-default-decay-pair"],
 )
 def test_study_with_nothing_to_check_rejected(tmp_path, capsys, study, fragment):
     text = MINI_CONFIG.split("studies:")[0] + "studies:\n  - name: ir-divergence\n" + study

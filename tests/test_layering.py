@@ -1,0 +1,23 @@
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "softcone"
+
+
+def _function_level_relative_imports(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = []
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.extend(f"{path.name}:{node.lineno}" for node in ast.walk(fn)
+                         if isinstance(node, ast.ImportFrom) and node.level > 0)
+    return found
+
+
+def test_no_intra_package_import_inside_a_function():
+    # a module imports the modules it needs at its top; an import cycle is
+    # mended by moving code, not by importing inside a function
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    found = sorted({hit for path in paths for hit in _function_level_relative_imports(path)})
+    assert found == []

@@ -2,13 +2,11 @@ import numpy as np
 import pytest
 
 from softcone.errors import AxisSingularity, NonIntegrablePairing
+from softcone.pairing import pair
 from softcone.photon import (
     PhotonWaveFunction,
     check_integrable,
-    helicity_components,
-    inner_product,
     polarisation,
-    symplectic,
     transverse_project,
     zero_wavefunction,
 )
@@ -63,15 +61,6 @@ def test_transverse_projection_regular_on_axis():
     np.testing.assert_allclose(pu, [1.0, 2.0, 0.0], atol=1e-15)
 
 
-def test_helicity_components_reassemble(forward_probe):
-    wf = photon_wavefunction(forward_probe)
-    k = random_directions(20, seed=3) * 0.8
-    fp, fm = helicity_components(wf, k)
-    ep, em = polarisation(k / np.linalg.norm(k, axis=-1, keepdims=True))
-    rebuilt = fp[:, None] * ep + fm[:, None] * em
-    np.testing.assert_allclose(rebuilt, wf(k), atol=1e-13)
-
-
 def test_zero_wavefunction_is_zero_and_integrable():
     z = zero_wavefunction()
     k = np.array([[0.1, 0.2, 0.3]])
@@ -96,12 +85,13 @@ def test_check_integrable_threshold():
 def test_inner_product_hermitian_and_symplectic_antisymmetric(quad):
     f = photon_wavefunction(make_field(0.0, (0.0, 0.0, 0.2)))
     g = photon_wavefunction(make_field(0.4, (0.0, 0.0, -0.3), channel="magnetic"))
-    fg = inner_product(f, g, quad)
-    gf = inner_product(g, f, quad)
+    fg = pair(f, g, quad).value
+    gf = pair(g, f, quad).value
     assert fg == pytest.approx(np.conj(gf), abs=1e-12)
-    assert symplectic(f, g, quad) == pytest.approx(-symplectic(g, f, quad), abs=1e-12)
+    # the symplectic form is Im <f, g>
+    assert fg.imag == pytest.approx(-gf.imag, abs=1e-12)
     # norm is real positive
-    ff = inner_product(f, f, quad)
+    ff = pair(f, f, quad).value
     assert abs(ff.imag) <= 1e-15 * ff.real
     assert ff.real > 0.0
 
@@ -109,10 +99,10 @@ def test_inner_product_hermitian_and_symplectic_antisymmetric(quad):
 def test_inner_product_antilinear_first_slot(quad):
     f = photon_wavefunction(make_field(0.0, (0.0, 0.0, 0.2)))
     g = photon_wavefunction(make_field(0.4, (0.0, 0.0, -0.3), channel="magnetic"))
-    base = inner_product(f, g, quad)
-    scaled = inner_product(f.scaled(2j), g, quad)
+    base = pair(f, g, quad).value
+    scaled = pair(f.scaled(2j), g, quad).value
     assert scaled == pytest.approx(np.conj(2j) * base, rel=1e-10)
-    scaled2 = inner_product(f, g.scaled(2j), quad)
+    scaled2 = pair(f, g.scaled(2j), quad).value
     assert scaled2 == pytest.approx(2j * base, rel=1e-10)
 
 

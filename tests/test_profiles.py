@@ -12,11 +12,10 @@ from softcone.profiles import (
     angular_factor,
     evaluate,
     pairwise_angular_factor,
-    pairwise_divergence_slope,
     profile_wavefunction,
-    term_wavefunction,
     v_hat_T_direct,
 )
+from softcone.studies import superselection_slope
 from softcone.quadrature import QuadratureSpec
 
 
@@ -122,6 +121,8 @@ def test_profile_kinds_and_window_validation(params):
         profile_wavefunction(params, "v_hat", T=3.0)  # T only for v_hat_T
     with pytest.raises(ValueError):
         profile_wavefunction(params, "v_hat_T")  # needs T
+    with pytest.raises(ValueError):
+        profile_wavefunction(params, "term3")  # so do its remainders
 
 
 def test_profiles_vanish_in_degenerate_configurations(params):
@@ -146,9 +147,9 @@ def test_profiles_vanish_in_degenerate_configurations(params):
 def test_term_decomposition_sums_to_total(params):
     T = 4.0
     k = np.array([0.4, -0.2, 0.7])
-    total = term_wavefunction(params, "total", T)(k)
-    parts = sum(term_wavefunction(params, which, T)(k)
-                for which in ("vhat", "term2", "term3"))
+    total = profile_wavefunction(params, "v_hat_T", T)(k)
+    parts = profile_wavefunction(params, "v_hat")(k) + sum(
+        profile_wavefunction(params, kind, T)(k) for kind in ("term2", "term3"))
     np.testing.assert_allclose(total, parts, rtol=1e-12)
 
 
@@ -176,9 +177,9 @@ def test_windowed_remainder_oscillates_without_pointwise_decay(params):
     vhat = profile_wavefunction(params, "v_hat")(k)
     envelope = None
     for T in (10.0, 100.0, 1000.0):
-        t3 = term_wavefunction(params, "term3", T)(k)
+        t3 = profile_wavefunction(params, "term3", T)(k)
         np.testing.assert_allclose(np.abs(t3), np.abs(vhat), rtol=1e-12)
-        t2 = term_wavefunction(params, "term2", T)(k)
+        t2 = profile_wavefunction(params, "term2", T)(k)
         if envelope is None:
             # stationary bound |T sinc(b T / 2pi)| <= 2/|b| with b = rho khat.w;
             # the Doppler denominator enters vhat but not the second term
@@ -210,5 +211,7 @@ def test_difference_norm_diverges_for_mismatched_window(params, quad):
 
 
 def test_pairwise_divergence_slope_zero_for_equal_velocities(params, quad):
-    w = (0.0, 0.0, 0.2)
-    assert pairwise_divergence_slope(params, w, w, (1e-2, 1e-4, 1e-6), quad) == 0.0
+    w = [0.0, 0.0, 0.2]
+    rows, _, _ = superselection_slope(params, quad, {},
+                                      {"pairs": [[w, w]], "sigma_grid": [1e-2, 1e-4, 1e-6]})
+    assert rows[0]["slope"] == 0.0

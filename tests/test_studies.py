@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
-from softcone import profiles, studies
+from softcone import pairing, profiles, studies
 
 SIGMAS = [1e-2, 1e-4]
 
@@ -35,3 +37,30 @@ def test_slope_verdict_fails_against_an_oracle_5_percent_high(
     exact = getattr(profiles, oracle)
     monkeypatch.setattr(profiles, oracle, lambda *a: 1.05 * exact(*a))
     assert _oracle_verdicts(study, opts, params, quad) == [False]
+
+
+def test_annulus_pass_matches_single_range_shells(params, quad):
+    # every shell [sigma, kappa] of the table sums the annuli above it; one
+    # pairing over the whole range is an independent rule for the same norm
+    sigmas = [1e-2, 1e-4, 1e-6]
+    p = replace(params, w=(0.0, 0.0, 0.3))
+    _, _, csvs = studies.ir_divergence(p, quad, {}, {"speeds": [0.3], "sigma_grid": sigmas})
+    _, table = csvs["ir-divergence-v0.3.csv"]
+    v = profiles.profile_wavefunction(p, "v_limit")
+    assert [s for s, _, _ in table] == sigmas
+    for sigma, norm, _ in table:
+        want = pairing.pair(v, v, quad, r_bounds=(sigma, p.kappa)).value.real
+        assert abs(norm - want) <= 1e-13 * want
+    errs = [err for _, _, err in table]
+    assert errs == sorted(errs)
+
+
+def test_repeated_sigma_repeats_its_shell(params, quad):
+    # a sigma grid may repeat a value (it needs two distinct ones); the
+    # repeated shell is the same shell, not an error
+    _, _, csvs = studies.difference_norm(params, quad, {}, {"sigma_probes": [1e-2, 1e-4, 1e-4]})
+    _, table = csvs["difference-norm.csv"]
+    for variant in ("matched", "violated"):
+        rows = [row[1:] for row in table if row[0] == variant]
+        assert [s for s, _, _ in rows] == [1e-2, 1e-4, 1e-4]
+        assert rows[2] == rows[1]

@@ -14,7 +14,6 @@ from softcone.testfields import (
     SeparableTerm,
     TestFieldPair,
     TimeBumpTransform,
-    fourier_transform_1d,
     photon_wavefunction,
 )
 from tests.conftest import make_field
@@ -111,14 +110,6 @@ def test_radial_transform_zero_frequency_limit():
 def test_radial_transform_requires_origin_center():
     with pytest.raises(ValueError):
         RadialBumpTransform(BumpProfile(1.0, 0.5))
-
-
-def test_fourier_transform_1d_matches_scipy():
-    b = BumpProfile(0.8, 0.6, 1.2)
-    for omega in (0.0, 1.3, 7.0):
-        got = fourier_transform_1d(b, omega)
-        want = _quad_time_oracle(b, omega)
-        assert got == pytest.approx(want, abs=5e-9)
 
 
 # ---------------------------------------------------------------- field pairs

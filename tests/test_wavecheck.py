@@ -5,15 +5,16 @@ import pytest
 
 from softcone.errors import SoftconeError
 from softcone.geometry import DoubleCone, Point4
+from softcone.pairing import pair
+from softcone.profiles import profile_wavefunction
 from softcone.quadrature import QuadratureSpec
-from softcone.testfields import BumpProfile, SeparableTerm, TestFieldPair
+from softcone.testfields import BumpProfile, SeparableTerm, TestFieldPair, photon_wavefunction
 from softcone.wavecheck import (
     WaveSolution,
     _RadialTable,
     _grid_axis,
     _radius_classes,
     bj_support_check,
-    lemma_a2_radius_check,
     mass_outside_cone,
     sample_grid,
     symplectic_time_invariance,
@@ -205,39 +206,17 @@ def test_localization_radius_spacelike_probe(params):
     # probe centred beyond the u + T localization radius, spacelike to the
     # emitting region: the pairing's real part must vanish relative to its
     # L1 scale
-    from softcone.pairing import pair
-    from softcone.profiles import profile_wavefunction
-    from softcone.testfields import photon_wavefunction
-
     T = 3.0
     probe = make_field(0.0, (0.0, 0.0, params.u + T + 5.0), radius=1.0)
-    spec = QuadratureSpec(r_max=40.0)
-    val = lemma_a2_radius_check(params, T, probe, spec)
-    res = pair(
-        profile_wavefunction(params, "v_hat_T", T), photon_wavefunction(probe), spec
-    )
-    assert val == abs(res.value.real)  # same deterministic mesh
-    assert val <= 1e-5 * res.scale
-
-
-def test_localization_radius_enforces_clearance(params, quad):
-    T = 3.0
-    near = make_field(0.0, (0.0, 0.0, 1.0), radius=1.0)
-    with pytest.raises(SoftconeError):
-        lemma_a2_radius_check(params, T, near, quad)
+    res = pair(profile_wavefunction(params, "v_hat_T", T), photon_wavefunction(probe),
+               QuadratureSpec(r_max=40.0))
+    assert abs(res.value.real) <= 1e-5 * res.scale
 
 
 def test_localization_contrast_case_not_small(params):
     # probe overlapping the backward emission cone: generically nonvanishing
-    from softcone.pairing import pair
-    from softcone.profiles import profile_wavefunction
-    from softcone.testfields import photon_wavefunction
-
     T = 3.0
     probe = make_field(-3.0, (0.0, 0.0, 1.0), radius=1.5)
-    spec = QuadratureSpec(r_max=40.0)
-    val = lemma_a2_radius_check(params, T, probe, spec, enforce_support=False)
-    res = pair(
-        profile_wavefunction(params, "v_hat_T", T), photon_wavefunction(probe), spec
-    )
-    assert val > 1e-3 * res.scale
+    res = pair(profile_wavefunction(params, "v_hat_T", T), photon_wavefunction(probe),
+               QuadratureSpec(r_max=40.0))
+    assert abs(res.value.real) > 1e-3 * res.scale
