@@ -4,34 +4,38 @@ Everything here computes variations of
 
     <v, f> = int_0^inf d rho rho^2 int dOmega  conj(v(k)) . f(k)
 
-with the first slot conjugated.  Each operand is a sum of parts, a scalar
-times a polarisation vector that depends on the direction alone (see
-`photon`), so the vectors are dotted once per angular node and only the
-scalars vary along rho.  The mesh is a tensor product of a graded geometric
-radial mesh (panel density raised for oscillatory integrands using the
-phase metadata carried by the wavefunctions) and a Gauss-Legendre x uniform
-angular rule.  Every pairing is evaluated twice, on a base mesh and a
-refined one; the difference is the reported error estimate, and the refined
-value is returned.
+with the first slot conjugated.  Each operand is a sum of parts (see
+`photon`): a radial factor R(rho) times waves angular(khat) e^(i rho (c0 +
+c.khat)), on a polarisation vector that depends on the direction alone.  The mesh is a
+tensor product of a graded geometric radial mesh and a Gauss-Legendre x
+uniform angular rule.  Every pairing is evaluated twice, on a base mesh and
+a refined one; the difference is the reported error estimate, and the
+refined value is returned.
 
-Phase metadata drives three special rules:
+Under an oscillation-aware spec each pair of waves (p, q) contributes
 
-* a phase pair (c0, c1), meaning a factor e^(i rho (c0 + c1 mu)), whose
-  stationary cosine mu* = -c0/c1 falls inside (a padded) [-1, 1] makes the
-  angular integral oscillatory too: the cos-theta node count is raised to the
-  nodes-per-wavelength target for |c1|;
-* a transverse source offset (``x_perp_extent``) oscillates in both angles
-  and raises both angular counts;
-* under an oscillation-aware spec, an entry whose phase pairs all share one
-  c0 != 0 integrates e^(i c0 rho) exactly with Filon weights
-  (`quadrature.radial_filon_weights`), so its radial rule only resolves the
-  residual max |c1| + pads.  A Gram whose entries all take this path sizes
-  its radial rule by their largest residual; any other Gram keeps the Gauss
-  weights on the rule sized by |c0| + |c1| + pads.  The L1 mass (``scale``)
-  is the Gauss sum of |integrand| in both cases.
+    sum_a ang_pq(a) F_pq(omega_pq(a)),   F_pq(omega) = int conj(R_p) R_q rho^2 e^(i omega rho) d rho,
 
-Accumulation is chunked over angular nodes in a fixed order with a fixed
-block size, so results are bit-for-bit reproducible.
+over the angular nodes a, with omega_pq(a) = (c0_q - c0_p) + (c_q - c_p).khat_a.
+F is integrated exactly in the carrier by Filon weights
+(`quadrature.radial_filon_weights`), once per distinct omega, so the radial
+rule only resolves the envelopes (``envelope_bandwidth``) and costs the same
+whatever the carriers.  The carriers still set the angular rule:
+
+* a carrier difference (c0, c3) (see ``phase_terms``) whose stationary cosine
+  mu* = -c0/c3 falls inside (a padded) [-1, 1] makes the angular integral
+  oscillatory: the cos-theta node count is raised to the nodes-per-wavelength
+  target for |c3|;
+* a carrier rate across the 3-axis (``x_perp_extent``) oscillates in both
+  angles and raises both angular counts.
+
+The L1 mass (``scale``) is the Gauss sum of |integrand| on the mesh; it
+separates into a radial and an angular sum when the entry has one pair of
+waves.  A spec that is not oscillation-aware (the Weyl spec) keeps one
+Gauss mesh for every entry, with the carriers multiplied out.
+
+Accumulation runs over angular nodes in a fixed order with fixed block
+sizes, so results are bit-for-bit reproducible.
 """
 from __future__ import annotations
 
@@ -44,7 +48,15 @@ import numpy as np
 
 from .errors import SupportNotInForwardCone, ToleranceNotMet
 from .geometry import ConeRegion, Point4, double_cone_in_cone
-from .photon import PhotonWaveFunction, check_integrable, polarisation_vector
+from .photon import (
+    Part,
+    PhotonWaveFunction,
+    carrier_difference,
+    carrier_rate,
+    check_integrable,
+    multiply_out,
+    polarisation_vector,
+)
 from .profiles import DressingParams, profile_wavefunction
 from .quadrature import (
     QuadratureSpec,
@@ -88,32 +100,12 @@ class _Mesh:
     ang_phi: np.ndarray
     ang_weight: np.ndarray
     # (spec, r_lo, r_hi, freq) of the radial rule when the spec is
-    # oscillation-aware, which enables the Filon path
+    # oscillation-aware, which integrates the carriers with Filon weights
     radial_rule: tuple | None = None
 
     @property
     def node_count(self) -> int:
         return self.rho.size * self.ang_mu.size
-
-    def filon_rho_weight(self, omega: float) -> np.ndarray:
-        """rho^2 W(omega) e^(-i omega rho): the radial weights of an integrand
-        that carries the factor e^(i omega rho)."""
-        weights = radial_filon_weights(*self.radial_rule, omega)
-        return weights * np.exp(-1j * omega * self.rho) * self.rho * self.rho
-
-
-def _carrier(v: PhotonWaveFunction, f: PhotonWaveFunction):
-    """The c0 difference that every phase pair of <v, f> shares, if it is
-    nonzero; otherwise None."""
-    c0 = {cf0 - cv0 for cv0, _ in v.phase_terms for cf0, _ in f.phase_terms}
-    return c0.pop() if len(c0) == 1 and 0.0 not in c0 else None
-
-
-def _residual_freq(v: PhotonWaveFunction, f: PhotonWaveFunction) -> float:
-    """Radial frequency of <v, f> left after its carrier e^(i c0 rho)."""
-    c1 = max(abs(cf1 - cv1) for _, cv1 in v.phase_terms for _, cf1 in f.phase_terms)
-    return (c1 + v.freq_pad + f.freq_pad
-            + v.envelope_bandwidth + f.envelope_bandwidth)
 
 
 def build_mesh(
@@ -121,10 +113,8 @@ def build_mesh(
     v: PhotonWaveFunction,
     f: PhotonWaveFunction,
     r_bounds=None,
-    freq: float | None = None,
 ) -> _Mesh:
-    """Tensor mesh sized from the spec and the two wavefunctions' metadata;
-    ``freq``, when given, replaces the radial frequency budget."""
+    """Tensor mesh sized from the spec and the two wavefunctions' metadata."""
     if r_bounds is None:
         r_lo = spec.r_min
         r_hi = min(spec.r_max, v.truncation_radius, f.truncation_radius)
@@ -133,20 +123,17 @@ def build_mesh(
     if not (0.0 <= r_lo < r_hi):
         raise ValueError("need 0 <= r_lo < r_hi")
 
-    radial_freq = 0.0
+    freq = 0.0
     resonant_c1 = 0.0
     x_perp = 0.0
     if spec.oscillation_aware:
-        pairs = [(cf0 - cv0, cf1 - cv1) for cv0, cv1 in v.phase_terms for cf0, cf1 in f.phase_terms]
-        radial_freq = max(abs(c0) + abs(c1) for c0, c1 in pairs)
-        radial_freq += v.freq_pad + f.freq_pad
-        for c0, c1 in pairs:
-            if abs(c1) > 1e-12 and abs(c0 / c1) <= RESONANCE_WINDOW:
-                resonant_c1 = max(resonant_c1, abs(c1))
+        freq = v.envelope_bandwidth + f.envelope_bandwidth
+        for cv0, cv1 in v.phase_terms:
+            for cf0, cf1 in f.phase_terms:
+                c0, c1 = cf0 - cv0, cf1 - cv1
+                if abs(c1) > 1e-12 and abs(c0 / c1) <= RESONANCE_WINDOW:
+                    resonant_c1 = max(resonant_c1, abs(c1))
         x_perp = v.x_perp_extent + f.x_perp_extent
-
-    if freq is None:
-        freq = radial_freq
     rho, rho_w = radial_mesh(spec, r_lo, r_hi, freq)
 
     n_mu = spec.n_cos_theta
@@ -168,51 +155,60 @@ def build_mesh(
 
 def _meshes(q: QuadratureSpec, leaves, entries, r_bounds=None):
     """Coarse and fine mesh for the sum of the row leaves against the sum of
-    the column leaves, which covers the phases and extents of every entry.
-    When every entry takes the Filon path the radial rule resolves only the
-    largest residual frequency of the entries."""
+    the column leaves, which covers the carriers and extents of every entry."""
     rows = functools.reduce(operator.add, [leaves[i] for i in sorted({i for i, _ in entries})])
     cols = functools.reduce(operator.add, [leaves[j] for j in sorted({j for _, j in entries})])
-    freq = None
-    if q.oscillation_aware and all(_carrier(leaves[i], leaves[j]) is not None for i, j in entries):
-        freq = max(_residual_freq(leaves[i], leaves[j]) for i, j in entries)
-    return (build_mesh(q, rows, cols, r_bounds, freq),
-            build_mesh(q.refined(), rows, cols, r_bounds, freq))
+    return build_mesh(q, rows, cols, r_bounds), build_mesh(q.refined(), rows, cols, r_bounds)
 
 
 def _accumulate(mesh: _Mesh, leaves, entries):
     """Value and L1 mass of <leaves[i], leaves[j]> for each (i, j) in
     ``entries`` on one mesh.
 
-    Each leaf's parts are evaluated once per chunk however many entries it
-    enters.  The integrand of an entry is
+    Each leaf is evaluated once per mesh, on the radial nodes against all
+    angular nodes, so its radial and angular factors each come once however
+    many entries it enters.  On a mesh of an oscillation-aware spec the
+    carriers are integrated with Filon weights (`_carrier_sums`); otherwise
+    they are multiplied out on the shared Gauss mesh (`_gauss_sums`)."""
+    used = sorted({k for entry in entries for k in entry})
+    rho, mu, phi = mesh.rho, mesh.ang_mu, mesh.ang_phi
+    parts = {k: [_flat(part, rho.size, mu.size)
+                 for part in leaves[k].evaluator(rho[:, None], mu[None, :], phi[None, :])]
+             for k in used}
+    if mesh.radial_rule is None:
+        return _gauss_sums(mesh, parts, entries)
+    return _carrier_sums(mesh, unit_direction(mu, phi), parts, entries)
+
+
+def _flat(part: Part, nr: int, na: int) -> Part:
+    """``part`` with its radial factor as an array of the nr radial nodes and
+    each angular factor that is not a constant as an array of the na angular
+    nodes."""
+    return Part(part.key, np.broadcast_to(part.radial, (nr, 1))[:, 0],
+                tuple((carrier, np.broadcast_to(angular, (1, na))[0] if np.ndim(angular) else angular)
+                      for carrier, angular in part.waves),
+                part.rest)
+
+
+def _gauss_sums(mesh: _Mesh, parts, entries):
+    """`_accumulate` on a Gauss mesh.  The integrand of an entry is
 
         g = sum_pq conj(s_ip) (s_jq d_pq),    d_pq = vec_p . vec_q,
 
-    over the polarisations p of leaf i and q of leaf j: each product d_pq is
-    formed once per chunk on its angular nodes, each row scalar conjugated
-    once, and entries run column by column so each s_jq d_pq is shared by
-    the entries of column j and dropped after them.  The chunk's angular
-    width is divided by the number of leaves it holds, at least two, so a
-    chunk takes no more memory than the two operands of one pairing.  The
-    rho array object is reused across chunks so the wavefunctions' radial
-    memoization stays hot.
-
-    On a mesh of an oscillation-aware spec an entry with a carrier c0 (see
-    `_carrier`) sums its value against the Filon radial weights of c0, built
-    once per mesh and distinct c0; every other value, and every L1 mass, is
-    the Gauss sum."""
-    used = sorted({k for entry in entries for k in entry})
+    over the polarisations p of leaf i and q of leaf j, with each leaf's
+    parts multiplied out per polarisation on a chunk of angular nodes: each
+    product d_pq is formed once per chunk, each row scalar conjugated once,
+    and entries run column by column so each s_jq d_pq is shared by the
+    entries of column j and dropped after them.  The chunk's angular width
+    is divided by the number of leaves it holds, at least two, so a chunk
+    takes no more memory than the two operands of one pairing."""
+    used = sorted(parts)
     rows = sorted({i for i, _ in entries})
     nr = mesh.rho.size
     rho_col = mesh.rho[:, None]
     jac = mesh.rho_weight[:, None]
     nb = max(1, CHUNK_ELEMENTS // (nr * max(2, len(used))))
     by_column = sorted(range(len(entries)), key=lambda e: entries[e][1])
-    carriers = [None] * len(entries)
-    if mesh.radial_rule is not None:
-        carriers = [_carrier(leaves[i], leaves[j]) for i, j in entries]
-    filon = {c0: mesh.filon_rho_weight(c0) for c0 in set(carriers) - {None}}
     values = [0.0 + 0.0j for _ in entries]
     l1 = [0.0 for _ in entries]
     for start in range(0, mesh.ang_mu.size, nb):
@@ -221,9 +217,16 @@ def _accumulate(mesh: _Mesh, leaves, entries):
         phi = mesh.ang_phi[sl][None, :]
         w = jac * mesh.ang_weight[sl][None, :]
         khat = unit_direction(mu, phi)
-        parts = {k: leaves[k].parts(rho_col, mu, phi) for k in used}
-        conj = {i: [(p, np.conjugate(s)) for p, s in parts[i].items()] for i in rows}
-        vecs = {p: polarisation_vector(p, khat) for k in used for p in parts[k]}
+        scalars = {
+            k: multiply_out([Part(part.key, part.radial[:, None],
+                                  tuple((carrier, angular[sl] if np.ndim(angular) else angular)
+                                        for carrier, angular in part.waves),
+                                  part.rest)
+                             for part in parts[k]], rho_col, mu, phi)
+            for k in used
+        }
+        conj = {i: [(p, np.conjugate(s)) for p, s in scalars[i].items()] for i in rows}
+        vecs = {p: polarisation_vector(p, khat) for k in used for p in scalars[k]}
         dots, column = {}, None
         for e in by_column:
             i, j = entries[e]
@@ -231,7 +234,7 @@ def _accumulate(mesh: _Mesh, leaves, entries):
                 column, weighted = j, {}
             g = None
             for p, a in conj[i]:
-                for q, b in parts[j].items():
+                for q, b in scalars[j].items():
                     if (p, q) not in dots:
                         vp, vq = vecs[p], vecs[q]
                         dots[p, q] = vp[0] * vq[0] + vp[1] * vq[1] + vp[2] * vq[2]
@@ -241,19 +244,171 @@ def _accumulate(mesh: _Mesh, leaves, entries):
                     g = term if g is None else g + term
             if g is None:
                 g = np.zeros(w.shape, dtype=complex)
-            if carriers[e] is None:
-                values[e] += complex(np.sum(g * w))
-            else:
-                values[e] += complex(filon[carriers[e]] @ (g @ mesh.ang_weight[sl]))
+            values[e] += complex(np.sum(g * w))
             l1[e] += float(np.sum(np.abs(g) * w))
     return values, l1
+
+
+@dataclass(frozen=True)
+class _PartPair:
+    """conj(wave of part p) times wave of part q in one entry: radial
+    product, angular product with the polarisation dot and the angular
+    weights, carrier difference, and the two parts' non-separating
+    factors."""
+
+    delta: tuple
+    radial: np.ndarray
+    angular: np.ndarray
+    rests: tuple
+
+    def omega(self, khat) -> np.ndarray:
+        """Rate of the carrier difference along rho at each angular node."""
+        return carrier_rate(self.delta, khat)
+
+    def rest(self, rho, mu, phi, cols):
+        """The non-separating factor on the angular nodes ``cols``."""
+        rest_p, rest_q = self.rests
+        out = 1.0
+        args = (rho[:, None], mu[None, cols], phi[None, cols])
+        if rest_p is not None:
+            out = out * np.conjugate(rest_p(*args))
+        if rest_q is not None:
+            out = out * rest_q(*args)
+        return out
+
+
+def _part_pairs(mesh: _Mesh, khat, parts_i, parts_j, dots) -> list:
+    """The `_PartPair` of every wave of leaf i with every wave of leaf j that
+    is not zero on the mesh; ``dots`` caches the polarisation products."""
+    pairs = []
+    for p in parts_i:
+        for q in parts_j:
+            if (p.key, q.key) not in dots:
+                vp, vq = polarisation_vector(p.key, khat), polarisation_vector(q.key, khat)
+                dots[p.key, q.key] = vp[0] * vq[0] + vp[1] * vq[1] + vp[2] * vq[2]
+            weight = dots[p.key, q.key] * mesh.ang_weight
+            radial = np.conjugate(p.radial) * q.radial
+            for carrier_p, ang_p in p.waves:
+                for carrier_q, ang_q in q.waves:
+                    ang = np.conjugate(ang_p) * ang_q * weight
+                    if ang.any():
+                        pairs.append(_PartPair(carrier_difference(carrier_p, carrier_q), radial,
+                                               ang, (p.rest, q.rest)))
+    return pairs
+
+
+def _filon_sums(mesh: _Mesh, omega: np.ndarray, radials: np.ndarray) -> np.ndarray:
+    """sum_r W_r(omega_k) radials[r, m] for each omega_k, with the Filon
+    weights of the mesh's radial rule, built a block of omegas at a time."""
+    step = max(1, CHUNK_ELEMENTS // mesh.rho.size)
+    out = np.empty((omega.size, radials.shape[1]), dtype=complex)
+    for start in range(0, omega.size, step):
+        weights = radial_filon_weights(*mesh.radial_rule, omega[start:start + step])
+        out[start:start + step] = weights @ radials
+    return out
+
+
+def _carrier_sums(mesh: _Mesh, khat, parts, entries):
+    """`_accumulate` on a mesh of an oscillation-aware spec.
+
+    Every pair of waves whose factors separate adds sum_a ang(a) F(omega(a)),
+    with F evaluated once per distinct omega; the pairs of all entries that
+    share a carrier difference share its Filon weights.  A pair with a factor
+    that does not separate sums its Filon weights node by node, on the nodes
+    where its angular factor is nonzero.  The L1 mass of an entry with one
+    separating pair is a radial sum times an angular sum; any other entry
+    forms its integrand in blocks of angular nodes, each carrier difference
+    with its phase relative to the entry's first."""
+    rho, mu, phi = mesh.rho, mesh.ang_mu, mesh.ang_phi
+    rho2 = rho * rho
+    dots = {}
+    pairs = [_part_pairs(mesh, khat, parts[i], parts[j], dots) for i, j in entries]
+    values = [0.0 + 0.0j for _ in entries]
+    l1 = [0.0 for _ in entries]
+    step = max(1, CHUNK_ELEMENTS // (2 * rho.size))
+
+    separable = {}
+    for e, entry_pairs in enumerate(pairs):
+        for pair in entry_pairs:
+            if pair.rests == (None, None):
+                separable.setdefault(pair.delta, []).append((e, pair))
+            else:
+                for cols in _blocks(np.flatnonzero(pair.angular), step):
+                    omega, inverse = np.unique(pair.omega(khat)[cols], return_inverse=True)
+                    weights = radial_filon_weights(*mesh.radial_rule, omega)[inverse]
+                    integrand = (pair.radial * rho2)[:, None] * pair.rest(rho, mu, phi, cols)
+                    sums = np.einsum("ar,ra->a", weights, integrand)
+                    values[e] += complex(pair.angular[cols] @ sums)
+    for group in separable.values():
+        omega, inverse = np.unique(group[0][1].omega(khat), return_inverse=True)
+        radials = np.stack([pair.radial * rho2 for _, pair in group], axis=1)
+        sums = _filon_sums(mesh, omega, radials)
+        for m, (e, pair) in enumerate(group):
+            values[e] += complex(pair.angular @ sums[inverse, m])
+
+    for e, entry_pairs in enumerate(pairs):
+        if len(entry_pairs) == 1 and entry_pairs[0].rests == (None, None):
+            (pair,) = entry_pairs
+            l1[e] = float(np.abs(pair.radial) @ mesh.rho_weight) * float(np.sum(np.abs(pair.angular)))
+        elif entry_pairs:
+            l1[e] = _l1_mass(mesh, khat, entry_pairs, step)
+    return values, l1
+
+
+def _l1_mass(mesh: _Mesh, khat, pairs, step: int) -> float:
+    """Gauss sum of |sum of the pairs' integrands| over the mesh, in blocks
+    of ``step`` angular nodes.  Each integrand carries its phase relative to
+    the first pair's carrier difference: the part that does not depend on
+    the direction goes into its radial factor, so pairs that share a
+    difference c form one matrix product and one phase per node."""
+    rho, mu, phi = mesh.rho, mesh.ang_mu, mesh.ang_phi
+    ref0, ref = pairs[0].delta
+    classes, joint = {}, []
+    for pair in pairs:
+        (joint if pair.rests != (None, None) else classes.setdefault(pair.delta[1], [])).append(pair)
+
+    def relative(pair):
+        offset = pair.delta[0] - ref0
+        return pair.radial * np.exp(1j * rho * offset) if offset else pair.radial
+
+    stacks = [(carrier_difference((0.0, ref), (0.0, c)),
+               np.stack([relative(pair) for pair in group], axis=1),
+               np.stack([pair.angular for pair in group]))
+              for c, group in classes.items()]
+    total = 0.0
+    for cols in _blocks(np.arange(mu.size), step):
+        kh = tuple(k[cols] for k in khat)
+        g = np.zeros((rho.size, cols.size), dtype=complex)
+        for shift, radials, angulars in stacks:
+            term = radials @ angulars[:, cols]
+            if any(shift[1]):
+                term *= _phases(rho, carrier_rate(shift, kh))
+            g += term
+        for pair in joint:
+            term = (pair.radial[:, None] * pair.angular[None, cols]
+                    * pair.rest(rho, mu, phi, cols))
+            g += term * _phases(rho, pair.omega(kh) - pairs[0].omega(kh))
+        total += float(mesh.rho_weight @ np.abs(g).sum(axis=1))
+    return total
+
+
+def _phases(rho: np.ndarray, rate: np.ndarray) -> np.ndarray:
+    """e^(i rho rate_a) for each entry of ``rate``, one column each, with one
+    exponential per distinct rate."""
+    distinct, inverse = np.unique(rate, return_inverse=True)
+    return np.exp(1j * rho[:, None] * distinct[None, :])[:, inverse]
+
+
+def _blocks(nodes: np.ndarray, step: int):
+    """``nodes`` in consecutive blocks of at most ``step``."""
+    return [nodes[start:start + step] for start in range(0, nodes.size, step)]
 
 
 def gram(leaves, entries, quadrature: QuadratureSpec | None = None, r_bounds=None) -> dict:
     """<leaves[i], leaves[j]> for each wanted (i, j), keyed by (i, j).
 
     One coarse and one fine mesh (`_meshes`) serve every entry, and each leaf
-    is evaluated once per chunk however many entries it enters.  Each entry
+    is evaluated once per mesh however many entries it enters.  Each entry
     passes the two-level check: the levels may disagree by at most the spec
     tolerances, against the entry's own L1 mass, reported as ``scale``.
     Without ``r_bounds`` every entry must also be integrable at k = 0."""
@@ -337,10 +492,10 @@ def limit_T_study(
 
     Each row reports the total, the unwindowed part and the two remainder
     terms, all on a shared per-T mesh, so total = vhat + term2 + term3 holds
-    identically up to float addition.  Under an oscillation-aware spec each
-    part takes the Filon path (its phase pairs share c0 = t_c + u or
-    t_c + u + T), so the radial rule resolves |w| T plus the envelopes, not
-    the carriers.  ``scale`` is the sum of the three parts' L1 masses."""
+    identically up to float addition.  Under an oscillation-aware spec the
+    carriers t_c + u, t_c + u + T and T khat.w are integrated exactly, so the
+    radial rule resolves the envelopes alone and is the same at every T.
+    ``scale`` is the sum of the three parts' L1 masses."""
     T_values = [float(T) for T in T_list]
     if not T_values or any(T <= 0 for T in T_values):
         raise ValueError("T_list must be nonempty and positive")

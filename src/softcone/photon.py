@@ -4,9 +4,12 @@ Provides the fixed polarisation frame, transverse projection and the
 `PhotonWaveFunction` value type shared by test-field images and dressing
 profiles; `pairing` computes their scalar product and symplectic form.
 
-A wavefunction is held as a sum of parts, scalar(rho, mu, phi) times a
-polarisation vector that depends on the direction alone.  A polarisation is a
-hashable key:
+A wavefunction is held as a sum of parts (`Part`),
+
+    radial(rho) * sum_k angular_k(khat) e^(i rho (c0_k + c_k.khat)) * vector(polarisation),
+
+with exact carriers (c0, c) and a polarisation vector that depends on the
+direction alone.  A polarisation is a hashable key:
 
 * ``("electric", u)``  the transverse projection  u - (khat.u) khat;
 * ``("magnetic", u)``  the cross product  khat x u;
@@ -25,7 +28,9 @@ Conventions fixed here and relied on everywhere else:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,52 +76,124 @@ def polarisation_vector(key, khat):
     return ky * u[2] - kz * u[1], kz * u[0] - kx * u[2], kx * u[1] - ky * u[0]
 
 
+NO_CARRIER = (0.0, (0.0, 0.0, 0.0))
+
+
+class Part(NamedTuple):
+    """One term on the polarisation ``key``:
+
+        radial(rho) * rest * sum_k angular_k(khat) e^(i rho (c0_k + c_k.khat))
+
+    over its ``waves`` (carrier_k, angular_k), each carrier (c0, c) exact.
+    ``radial`` broadcasts against rho alone and each ``angular`` against the
+    angles alone, so a pairing evaluates each once per mesh.  ``rest`` is
+    None or a callable (rho, mu, phi) for a factor that does not separate;
+    it is needed only where an angular factor is nonzero.  Waves that cancel
+    each other belong in one part, so they are summed first wherever the
+    part is multiplied out."""
+
+    key: tuple
+    radial: object
+    waves: tuple
+    rest: object = None
+
+
+def carrier_rate(carrier, khat):
+    """c0 + c.khat, the carrier's rate along rho, at the unit directions
+    ``khat = (kx, ky, kz)``."""
+    c0, c = carrier
+    kx, ky, kz = khat
+    return c0 + (c[0] * kx + c[1] * ky + c[2] * kz)
+
+
+def carrier_difference(first, second):
+    """The carrier of conj(e^(first)) e^(second): second - first."""
+    return second[0] - first[0], tuple(b - a for a, b in zip(first[1], second[1]))
+
+
+def _carrier_phase(carrier, rho, khat):
+    """e^(i rho (c0 + c.khat)); a carrier with c = 0 gives the radial factor
+    alone."""
+    if not any(carrier[1]):
+        return np.exp(1j * rho * carrier[0])
+    return np.exp(1j * rho * carrier_rate(carrier, khat))
+
+
+def multiply_out(parts, rho, mu, phi) -> dict:
+    """{polarisation: scalar}: each part's factors and carriers multiplied
+    out, summed per polarisation in the order the parts come.  The waves of
+    a part are summed on its first carrier as
+
+        sum_k a_k + sum_(k > 0) a_k (e^(i rho (rate_k - rate_0)) - 1),
+
+    so waves that cancel where their carriers meet keep full precision."""
+    khat = unit_direction(mu, phi)
+    out = {}
+    for part in parts:
+        (carrier, angular), *others = part.waves
+        for _, a in others:
+            angular = angular + a
+        for other, a in others:
+            x = rho * carrier_rate(carrier_difference(carrier, other), khat)
+            half = np.sin(0.5 * x)
+            angular = angular + a * (-2.0 * half * half + 1j * np.sin(x))
+        s = (part.radial * angular) * _carrier_phase(carrier, rho, khat)
+        if part.rest is not None:
+            s = s * part.rest(rho, mu, phi)
+        out[part.key] = out[part.key] + s if part.key in out else s
+    return out
+
+
 @dataclass(frozen=True)
 class PhotonWaveFunction:
     """Transverse momentum-space amplitude with quadrature metadata.
 
     ``evaluator(rho, mu, phi)`` maps broadcast-compatible spherical-coordinate
-    arrays to the amplitude's parts, a mapping ``{polarisation: scalar}`` (see
-    the module docstring for the keys); the amplitude is the sum of
-    scalar * vector(polarisation).  `parts` returns that mapping and `values`
-    the summed complex array of shape ``broadcast(...) + (3,)``.  Passing
-    tensor-shaped inputs (rho[:,None,None], mu[None,:,None], phi[None,None,:])
-    keeps radial factors cheap through broadcasting; the vectors need the
-    angular grid alone.
+    arrays to the amplitude's parts, a tuple of `Part`; the amplitude is the
+    sum of their products with their carriers and polarisation vectors.
+    `parts` returns those products summed per polarisation,
+    ``{polarisation: scalar}``, and `values` the summed complex array of shape
+    ``broadcast(...) + (3,)``.  Passing tensor-shaped inputs (rho[:, None],
+    mu[None, :], phi[None, :]) leaves each factor on its own axis.
 
     Metadata drives mesh construction:
 
     * ``small_k_exponent``: p with |f(k)| = O(|k|^p) near 0 (integrability);
     * ``truncation_radius``: beyond it the amplitude is negligible or cut;
-    * ``phase_terms``: (c0, c1) pairs so the radial phases are
-      exp(i rho (c0 + c1 mu)) times a slower envelope; used for frequency and
-      resonance budgeting.  c0 must be exact: it is the direction-free phase,
-      which a pairing whose phase pairs share one c0 difference integrates
-      exactly (Filon weights in `pairing`).  c1 is a bound on the rest of the
-      phase's rate along rho (e.g. |w| T for k.w T);
-    * ``freq_pad``: additive envelope bandwidth (support halfwidths);
-    * ``envelope_bandwidth``: envelope bandwidth left out of ``freq_pad`` (a
-      dressed profile's window); the Gauss path leaves it to |c0|, the Filon
-      path, which takes c0 out, adds it to its budget;
-    * ``x_perp_extent``: spatial offset from the 3-axis, drives phi resolution.
+    * ``carriers``: the distinct carriers (c0, c) of the parts' waves.  A pairing
+      integrates each carrier difference exactly along rho, so they set only
+      the angular rule, through ``phase_terms`` and ``x_perp_extent``;
+    * ``envelope_bandwidth``: the rate along rho of the radial factors
+      (support halfwidths), which is all an oscillation-aware radial rule
+      resolves.
     """
 
     evaluator: object
     small_k_exponent: float
     truncation_radius: float
-    phase_terms: tuple = ((0.0, 0.0),)
-    freq_pad: float = 0.0
+    carriers: tuple = (NO_CARRIER,)
     envelope_bandwidth: float = 0.0
-    x_perp_extent: float = 0.0
     label: str = ""
 
+    @property
+    def phase_terms(self) -> tuple:
+        """(c0, c3) of each carrier: the direction-free rate and the rate
+        along the 3-axis, whose differences size the resonant mu rule."""
+        return tuple(dict.fromkeys((c0, c[2]) for c0, c in self.carriers))
+
+    @property
+    def x_perp_extent(self) -> float:
+        """Largest carrier rate across the 3-axis, which sizes both angular
+        rules."""
+        return max(math.hypot(c[0], c[1]) for _, c in self.carriers)
+
     def parts(self, rho, mu, phi) -> dict:
-        return self.evaluator(rho, mu, phi)
+        return multiply_out(self.evaluator(rho, mu, phi), rho, mu, phi)
 
     def values(self, rho, mu, phi) -> np.ndarray:
         khat = unit_direction(mu, phi)
         out = None
-        for key, s in self.evaluator(rho, mu, phi).items():
+        for key, s in self.parts(rho, mu, phi).items():
             term = s[..., None] * np.stack(polarisation_vector(key, khat), axis=-1)
             out = term if out is None else out + term
         if out is None:
@@ -135,31 +212,16 @@ class PhotonWaveFunction:
 
     # -- linear structure (labels form a complex vector space) --------------
 
-    def _combined_meta(self, other: "PhotonWaveFunction") -> dict:
-        terms = tuple(dict.fromkeys(self.phase_terms + other.phase_terms))
-        return dict(
+    def __add__(self, other: "PhotonWaveFunction") -> "PhotonWaveFunction":
+        """The sum: the parts of both summands."""
+        f, g = self.evaluator, other.evaluator
+        return PhotonWaveFunction(
+            evaluator=lambda rho, mu, phi: f(rho, mu, phi) + g(rho, mu, phi),
             small_k_exponent=min(self.small_k_exponent, other.small_k_exponent),
             truncation_radius=max(self.truncation_radius, other.truncation_radius),
-            phase_terms=terms,
-            freq_pad=max(self.freq_pad, other.freq_pad),
+            carriers=tuple(dict.fromkeys(self.carriers + other.carriers)),
             envelope_bandwidth=max(self.envelope_bandwidth, other.envelope_bandwidth),
-            x_perp_extent=max(self.x_perp_extent, other.x_perp_extent),
-        )
-
-    def __add__(self, other: "PhotonWaveFunction") -> "PhotonWaveFunction":
-        """The sum; parts with the same polarisation add their scalars."""
-        f, g = self.evaluator, other.evaluator
-
-        def evaluator(rho, mu, phi):
-            out = dict(f(rho, mu, phi))
-            for key, s in g(rho, mu, phi).items():
-                out[key] = out[key] + s if key in out else s
-            return out
-
-        return PhotonWaveFunction(
-            evaluator=evaluator,
             label=f"({self.label}+{other.label})",
-            **self._combined_meta(other),
         )
 
     def __sub__(self, other: "PhotonWaveFunction") -> "PhotonWaveFunction":
@@ -173,7 +235,9 @@ class PhotonWaveFunction:
         f = self.evaluator
         return replace(
             self,
-            evaluator=lambda rho, mu, phi: {key: c * s for key, s in f(rho, mu, phi).items()},
+            evaluator=lambda rho, mu, phi: tuple(
+                part._replace(radial=c * part.radial) for part in f(rho, mu, phi)
+            ),
             label=f"({c!r}*{self.label})",
         )
 
@@ -181,7 +245,7 @@ class PhotonWaveFunction:
 def zero_wavefunction() -> PhotonWaveFunction:
     """The zero label (identity Weyl element): no parts."""
     return PhotonWaveFunction(
-        evaluator=lambda rho, mu, phi: {},
+        evaluator=lambda rho, mu, phi: (),
         small_k_exponent=2.0,
         truncation_radius=1.0,
         label="0",

@@ -2,8 +2,8 @@
 
 All profiles are transverse vector functions of momentum built from the
 angular factor P_tr w / (1 - khat.w) (transverse projection of the velocity,
-Doppler denominator) with different radial weights.  Each is one part, a
-scalar on the polarisation ("electric", w) (see `photon`):
+Doppler denominator) with different radial weights, on the polarisation
+("electric", w) (see `photon`):
 
 * sharp shell    chi_[sigma, kappa](|k|) |k|^(-3/2)              (``v_sigma``)
 * full shell     sigma = 0                                       (``v_limit``)
@@ -12,11 +12,17 @@ scalar on the polarisation ("electric", w) (see `photon`):
 
       v_hat_T = v_hat + term2 + term3,
 
-  where ``term2`` carries the stable factor (e^(i b T) - 1)/b with b = k.w
-  written as i T e^(i b T / 2) sinc(b T / (2 pi)) (no Doppler denominator),
-  and ``term3`` is the rapidly oscillating remainder with phase
-  e^(-i(|k| - k.w) T).  Both remainders decay in T after pairing with a
-  smooth wavefunction; the total tends to ``v_hat``.
+  where ``term2`` carries the factor (e^(i b T) - 1)/b with b = k.w (no
+  Doppler denominator) and ``term3`` is the rapidly oscillating remainder
+  with phase e^(-i(|k| - k.w) T).  Both remainders decay in T after pairing
+  with a smooth wavefunction; the total tends to ``v_hat``.
+
+Each term is a part with an exact carrier: e^(-i u |k|) for ``v_hat``,
+e^(-i (u + T) |k| + i T k.w) for ``term3``.  ``term2`` splits into that
+carrier and e^(-i (u + T) |k|), with angular factors -+1/(khat.w), except on
+directions where |khat.w| T R < 1 (R the truncation radius): there it keeps
+the stable form i T e^(i b T / 2) sinc(b T / (2 pi)) on the second carrier,
+whose residual phase stays below one radian.
 
 The common prefactor alpha^(1/2) is included.  g~ is the unit-normalized 3D
 transform of a radial bump, rescaled so g~(0) equals ``g_scale`` (1 for the
@@ -31,12 +37,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import PointSingularity
-from .photon import PhotonWaveFunction, transverse_project
+from .photon import NO_CARRIER, Part, PhotonWaveFunction, transverse_project
 from .quadrature import gauss_rule, integrate_1d, unit_direction
 from .testfields import (
     BumpProfile,
     RadialBumpTransform,
-    _SingleSlotMemo,
     _truncation_radius,
 )
 
@@ -128,13 +133,12 @@ def _sharp_wavefunction(params: DressingParams, sigma_lo: float) -> PhotonWaveFu
         radial = sqrt_alpha * np.where(
             (rho >= lo) & (rho <= hi), rho ** -1.5, 0.0
         )
-        return {key: radial / denom}
+        return (Part(key, radial, ((NO_CARRIER, 1.0 / denom),)),)
 
     return PhotonWaveFunction(
         evaluator=evaluator,
         small_k_exponent=(-1.5 if lo == 0.0 else 0.0),
         truncation_radius=hi,
-        phase_terms=((0.0, 0.0),),
         label=("v_limit" if lo == 0.0 else "v_sigma"),
     )
 
@@ -144,53 +148,55 @@ def _dressed_wavefunction(params: DressingParams, kind: str, T) -> PhotonWaveFun
     sqrt_alpha = math.sqrt(params.alpha)
     u = params.u
     tr, scale = _window_transform(params.g, params.g_scale)
-    gt = _SingleSlotMemo(lambda rho: scale * tr(rho))
-    w_speed = params.speed
-    w_perp = math.hypot(params.w[0], params.w[1])
+    truncation = _window_truncation(params)
     key = ("electric", params.w)
+    hat = (-u, (0.0, 0.0, 0.0))
+    if kind != "v_hat":
+        late = (-(u + T), (0.0, 0.0, 0.0))
+        swept = (-(u + T), tuple(T * c for c in params.w))
+
+    def sinc_form(rho, mu, phi):
+        kw, _ = _angular_parts(params, mu, phi)
+        b = rho * kw
+        return np.exp(0.5j * b * T) * np.sinc(b * T / TWO_PI)
 
     def evaluator(rho, mu, phi):
         rho = np.asarray(rho, dtype=float)
         _require_positive(rho)
         kw, denom = _angular_parts(params, mu, phi)
-        # dividing a complex array by a real one multiplies by the reciprocal,
-        # so taking it on the angular grid alone gives the same bits
         inv_denom = 1.0 / denom
-        g = gt(rho)
-        phase_u = np.exp(-1j * u * rho)
-        acc = 0.0
-        if kind in ("v_hat", "v_hat_T"):
-            acc = acc + (g * phase_u * rho ** -1.5) * inv_denom
+        g = sqrt_alpha * scale * tr(rho)
+        envelope = g * rho ** -1.5
+        parts = []
+        if kind != "term2":
+            waves = ((hat, inv_denom),) if kind != "term3" else ()
+            if kind != "v_hat":
+                waves += ((swept, -inv_denom),)
+            parts.append(Part(key, envelope, waves))
         if kind in ("term2", "v_hat_T"):
-            b = rho * kw
-            bracket = 1j * T * np.exp(0.5j * b * T) * np.sinc(b * T / TWO_PI)
-            acc = acc - g * np.exp(-1j * (u + T) * rho) * rho ** -0.5 * bracket
-        if kind in ("term3", "v_hat_T"):
-            acc = acc - (
-                g * phase_u * rho ** -1.5 * np.exp(-1j * rho * (1.0 - kw) * T)
-            ) * inv_denom
-        return {key: sqrt_alpha * acc}
+            # (e^(i rho k.w T) - 1) / (rho k.w) on its two carriers, except
+            # where the residual phase |k.w| T rho stays below one radian up
+            # to the truncation radius: there the sinc form, on one carrier
+            near = np.abs(kw) * T * truncation < 1.0
+            inv_kw = np.divide(1.0, kw, out=np.zeros(np.shape(kw)), where=~near)
+            parts += [
+                Part(key, envelope, ((late, inv_kw), (swept, -inv_kw))),
+                Part(key, -g * rho ** -0.5, ((late, 1j * T * near),), sinc_form),
+            ]
+        return tuple(parts)
 
     if kind == "v_hat":
-        phases = ((-u, 0.0),)
+        carriers = (hat,)
         exponent = -1.5
-        x_perp = 0.0
     else:
-        span = w_speed * T
-        phases = {
-            "term2": ((-(u + T), 0.0), (-(u + T), span)),
-            "term3": ((-(u + T), span),),
-            "v_hat_T": ((-u, 0.0), (-(u + T), 0.0), (-(u + T), span)),
-        }[kind]
+        carriers = {"term2": (late, swept), "term3": (swept,), "v_hat_T": (hat, late, swept)}[kind]
         exponent = {"term2": -0.5, "term3": -1.5, "v_hat_T": -0.5}[kind]
-        x_perp = w_perp * T
     return PhotonWaveFunction(
         evaluator=evaluator,
         small_k_exponent=exponent,
-        truncation_radius=_window_truncation(params),
-        phase_terms=phases,
+        truncation_radius=truncation,
+        carriers=carriers,
         envelope_bandwidth=params.g.halfwidth,
-        x_perp_extent=x_perp,
         label=kind,
     )
 

@@ -26,11 +26,10 @@ is its sin(z)/z form), and ``unit_direction`` turns (mu, phi) into Cartesian
 unit vectors.
 
 A known linear phase e^(i omega rho) is integrated exactly by Filon-Legendre
-weights on the same nodes (``filon_gauss``, ``radial_filon_weights``; Iserles
-and Norsett 2005), so the panel density only has to follow what oscillates
-besides it.  Any other oscillation still raises the panel density linearly
-with its frequency; the direction-dependent phase c1 mu of the pairings is
-handled that way, which bounds them at desk scale (T up to about 10^3).
+weights on the same nodes (``filon_gauss``, ``radial_filon_weights``, one row
+per entry of an array of omegas; Iserles and Norsett 2005), so the panel
+density only has to follow what oscillates besides it.  Any other
+oscillation still raises the panel density linearly with its frequency.
 """
 from __future__ import annotations
 
@@ -142,7 +141,7 @@ def _filon_basis(order: int):
     return (2.0 * n + 1.0)[:, None] * powers[:, None] * np.polynomial.legendre.legvander(x, order - 1).T
 
 
-def filon_gauss(lo: float, hi: float, npanels: int, order: int, omega: float) -> np.ndarray:
+def filon_gauss(lo: float, hi: float, npanels: int, order: int, omega) -> np.ndarray:
     """Filon-Legendre weights W_j on the nodes of ``panel_gauss``: sum_j W_j
     F(x_j) = int_lo^hi F(x) e^(i omega x) dx for F a polynomial of degree
     < ``order`` on each panel, whatever omega.
@@ -152,16 +151,21 @@ def filon_gauss(lo: float, hi: float, npanels: int, order: int, omega: float) ->
         W_j = h e^(i omega m) w_j sum_(n < order) (2n+1) i^n j_n(omega h) P_n(x_j),
 
     from e^(i kappa x) = sum_n (2n+1) i^n j_n(kappa) P_n(x) (Iserles and
-    Norsett 2005).  At omega = 0 they are the Gauss weights, bit for bit."""
+    Norsett 2005).  An array of omegas gives one row of weights each, shape
+    ``omega.shape + (nodes,)``.  At omega = 0 they are the Gauss weights, bit
+    for bit."""
     return _filon_weights(*_panels(lo, hi, npanels), order, omega)
 
 
-def _filon_weights(mid: np.ndarray, half: np.ndarray, order: int, omega: float) -> np.ndarray:
+def _filon_weights(mid: np.ndarray, half: np.ndarray, order: int, omega) -> np.ndarray:
     """`filon_gauss` weights on the panels with these midpoint and half-width
-    columns, panel by panel."""
+    columns, panel by panel, for each entry of ``omega``."""
     _, w = gauss_rule(order)
-    demod = spherical_jn(order - 1, omega * half[:, 0]) @ _filon_basis(order)
-    return ((half * w) * demod * np.exp(1j * omega * mid)).ravel()
+    omega = np.asarray(omega, dtype=float)
+    om = omega.reshape(-1, 1, 1)
+    demod = spherical_jn(order - 1, om[..., 0] * half[:, 0]) @ _filon_basis(order)
+    weights = (half * w) * demod * np.exp(1j * om * mid)
+    return weights.reshape(omega.shape + (-1,))
 
 
 def panel_count(freq: float, length: float, nodes_per_wavelength: float,
@@ -320,14 +324,19 @@ def radial_mesh(spec: QuadratureSpec, r_lo: float, r_hi: float, freq: float = 0.
 
 
 def radial_filon_weights(spec: QuadratureSpec, r_lo: float, r_hi: float, freq: float,
-                         omega: float) -> np.ndarray:
+                         omega) -> np.ndarray:
     """`filon_gauss` weights for the factor e^(i omega rho) on the nodes of
-    ``radial_mesh(spec, r_lo, r_hi, freq)``; ``freq`` then only has to cover
-    what the rest of the integrand oscillates."""
+    ``radial_mesh(spec, r_lo, r_hi, freq)``, one row per entry of ``omega``;
+    ``freq`` then only has to cover what the rest of the integrand
+    oscillates."""
+    return _filon_weights(*_radial_panel_columns(spec, r_lo, r_hi, freq), spec.gauss_order, omega)
+
+
+@lru_cache(maxsize=32)
+def _radial_panel_columns(spec: QuadratureSpec, r_lo: float, r_hi: float, freq: float):
+    """Midpoint and half-width columns of the panels of `radial_mesh`."""
     panels = [_panels(a, b, n) for a, b, n in _radial_panels(spec, r_lo, r_hi, freq)]
-    mid = np.concatenate([m for m, _ in panels])
-    half = np.concatenate([h for _, h in panels])
-    return _filon_weights(mid, half, spec.gauss_order, omega)
+    return np.concatenate([m for m, _ in panels]), np.concatenate([h for _, h in panels])
 
 
 def angular_mesh(spec: QuadratureSpec, n_mu: int | None = None, n_phi: int | None = None):

@@ -254,6 +254,7 @@ def limit_T(params, quadrature, fields, opts):
             "T_times_term3": row["T"] * abs(row["term3"]),
             "err": row["err"],
             "scale": row["scale"],
+            "node_count": row["node_count"],
         }
         for row in study
     ]

@@ -15,8 +15,8 @@ and the photon image of a pair (f_e, f_b) is
     f(k) = -i (2 pi)^2 ( |k|^(1/2) P_tr f~_e(|k|,k) + |k|^(-1/2) k x f~_b(|k|,k) ),
 
 kept verbatim including the constant prefactor; |f(k)| = O(|k|^(1/2)) near 0.
-Each term gives one scalar on the polarisation (channel, direction) of
-`photon`; terms that share channel and direction add their scalars.
+Each term gives one part (see `photon`): a radial factor on the polarisation
+(channel, direction) with the carrier e^(i |k| (t_c - khat.x)) of its centre.
 """
 from __future__ import annotations
 
@@ -27,13 +27,12 @@ import numpy as np
 
 from .errors import SoftconeError
 from .geometry import DoubleCone
-from .photon import PhotonWaveFunction
+from .photon import Part, PhotonWaveFunction
 from .quadrature import (
     freq_bucket,
     kernel_matvec,
     sinc_matvec,
     transform_rule,
-    unit_direction,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -71,25 +70,6 @@ class BumpProfile:
     @property
     def support(self):
         return (self.center - self.halfwidth, self.center + self.halfwidth)
-
-
-class _SingleSlotMemo:
-    """Memoize a radial-factor computation on the identity of the rho array.
-
-    The pairing engine reuses one rho array object across angular chunks, so a
-    single slot removes the dominant repeated cost while staying exact.
-    """
-
-    def __init__(self, fn):
-        self._fn = fn
-        self._key = None
-        self._val = None
-
-    def __call__(self, rho):
-        if self._key is not rho:
-            self._val = self._fn(rho)
-            self._key = rho
-        return self._val
 
 
 def _bucket_of(rho: np.ndarray) -> float:
@@ -221,46 +201,33 @@ def _truncation_radius(envelopes) -> float:
 
 
 def photon_wavefunction(pair: TestFieldPair) -> PhotonWaveFunction:
-    """Photon image of a test-field pair: transverse, O(|k|^(1/2)) near 0."""
+    """Photon image of a test-field pair: transverse, O(|k|^(1/2)) near 0.
+    Each term is one part with the carrier (t_c, -x) of its time centre t_c
+    and position x."""
     terms = pair.terms
-    times = [_SingleSlotMemo(TimeBumpTransform(t.time)) for t in terms]
-    spaces = [_SingleSlotMemo(RadialBumpTransform(t.space)) for t in terms]
+    times = [TimeBumpTransform(t.time) for t in terms]
+    spaces = [RadialBumpTransform(t.space) for t in terms]
+    carriers = [(t.time.center, tuple(-x for x in t.position)) for t in terms]
 
     def evaluator(rho, mu, phi):
         rho = np.asarray(rho, dtype=float)
-        kx, ky, kz = unit_direction(mu, phi)
-        out = {}
         sqrt_rho = np.sqrt(rho)
-        for term, tt, st in zip(terms, times, spaces):
-            x1, x2, x3 = term.position
-            ang = kx * x1 + ky * x2 + kz * x3
-            scal = (
-                PHOTON_PREFACTOR
-                * term.amplitude
-                * sqrt_rho
-                * tt(rho)
-                * st(rho)
-                * np.exp(1j * rho * (term.time.center - ang))
-            )
-            key = (term.channel, term.direction)
-            out[key] = out[key] + scal if key in out else scal
-        return out
+        return tuple(
+            Part((term.channel, term.direction),
+                 PHOTON_PREFACTOR * term.amplitude * sqrt_rho * tt(rho) * st(rho),
+                 ((carrier, 1.0),))
+            for term, tt, st, carrier in zip(terms, times, spaces, carriers)
+        )
 
     envelopes = [
         (lambda rho, tt=tt, st=st, a=t.amplitude: a * np.sqrt(rho) * tt(rho) * st(rho))
         for tt, st, t in zip(times, spaces, terms)
     ]
-    phase_terms = tuple(
-        dict.fromkeys((t.time.center, -t.position[2]) for t in terms)
-    )
-    freq_pad = max(t.time.halfwidth + t.space.halfwidth for t in terms)
-    x_perp = max(math.hypot(t.position[0], t.position[1]) for t in terms)
     return PhotonWaveFunction(
         evaluator=evaluator,
         small_k_exponent=0.5,
         truncation_radius=_truncation_radius(envelopes),
-        phase_terms=phase_terms,
-        freq_pad=freq_pad,
-        x_perp_extent=x_perp,
+        carriers=tuple(dict.fromkeys(carriers)),
+        envelope_bandwidth=max(t.time.halfwidth + t.space.halfwidth for t in terms),
         label="local-field",
     )

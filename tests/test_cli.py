@@ -171,6 +171,23 @@ def test_report_records_environment_and_config_hash(tmp_path):
                                      "platform": "-".join(platform.uname()[i] for i in (0, 2, 4))}
 
 
+def test_limit_T_rows_report_one_node_count_at_every_T(tmp_path):
+    # the carriers are integrated exactly, so the mesh of each row, and the
+    # node count report.json gives for it, is the same from T = 1 to 10^4
+    text = MINI_CONFIG.split("studies:")[0] + (
+        "studies:\n  - name: limit-T\n    field: probe\n"
+        "    T_list: [1.0, 10.0, 100.0, 1000.0, 10000.0]\n"
+    )
+    assert cli.run(write_config(tmp_path, text), str(tmp_path / "o")) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    (entry,) = report["studies"]
+    counts = [row["node_count"] for row in entry["rows"]]
+    assert len(counts) == 5 and counts[0] > 0
+    assert counts == [counts[0]] * 5
+    header = (tmp_path / "o" / "limit-T.csv").read_text().splitlines()[0]
+    assert "node_count" not in header
+
+
 def test_lightlike_velocity_rejected_at_parse_time(tmp_path, capsys):
     path = write_config(tmp_path, "params:\n  w: [0.0, 0.0, 1.0]\n")
     rc = cli.run(path, str(tmp_path / "o"))

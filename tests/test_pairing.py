@@ -1,3 +1,5 @@
+import functools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +21,7 @@ from softcone.pairing import (
     pair,
 )
 from softcone.profiles import DressingParams, profile_wavefunction
-from softcone.quadrature import QuadratureSpec, radial_mesh
+from softcone.quadrature import QuadratureSpec, angular_mesh, radial_mesh, unit_direction
 from softcone.testfields import photon_wavefunction
 from tests.conftest import make_field, make_random_label
 
@@ -118,20 +120,23 @@ def test_pair_with_itself_evaluates_each_chunk_once(quad, forward_probe):
 
 
 def test_pair_is_a_one_entry_gram(params, quad, forward_probe):
-    # several chunks per mesh, so a different chunk width would move the sums
+    # several blocks on the fine mesh, so a different block width would move
+    # the sums
     v = profile_wavefunction(params, "v_hat_T", T=10.0)
     f = photon_wavefunction(forward_probe)
-    mesh = build_mesh(quad, v, f)
+    mesh = build_mesh(quad.refined(), v, f)
     assert mesh.node_count > pairing.CHUNK_ELEMENTS
     assert pair(v, f, quad) == gram((v, f), [(0, 1)], quad)[(0, 1)]
 
 
 @pytest.mark.parametrize("w", [(0.0, 0.0, 0.3), (0.2, 0.1, 0.2), (0.0, 0.0, 0.0)],
                          ids=["on-axis", "off-axis", "at-rest"])
-def test_limit_T_radial_rule_is_the_residual_one(quad, forward_probe, monkeypatch, w):
-    # the radial rule resolves |w| T plus the envelopes (probe pads 0.5 + 0.5,
-    # window halfwidth 1), not the carriers t_c + u (+ T); the angular rule is
-    # the windowed profile's
+def test_limit_T_radial_rule_is_the_same_at_every_T(quad, forward_probe, monkeypatch, w):
+    # the carriers t_c + u (+ T) and T khat.w are integrated exactly, so the
+    # radial rule resolves the envelopes alone (probe pads 0.5 + 0.5, window
+    # halfwidth 1) at every T; the angular rule is the one spelled out here:
+    # no resonance (|t_c + u + T| > 1.3 |w_3| T), and the transverse rate
+    # |w_perp| T raises both counts
     params = DressingParams(w=w)
     meshes = []
 
@@ -143,52 +148,151 @@ def test_limit_T_radial_rule_is_the_residual_one(quad, forward_probe, monkeypatc
     T_list = (1.0, 10.0, 100.0)
     limit_T_study(params, forward_probe, T_list, quad)
     f = photon_wavefunction(forward_probe)
-    want = []
-    for T in T_list:
+    assert len(meshes) == 2 * len(T_list)
+    for T, coarse, fine in zip(T_list, meshes[::2], meshes[1::2]):
         total = profile_wavefunction(params, "v_hat_T", T=T)
-        residual = np.linalg.norm(w) * T + 1.0 + 1.0
-        for q in (quad, quad.refined()):
+        for q, got in ((quad, coarse), (quad.refined(), fine)):
             r_hi = min(q.r_max, total.truncation_radius, f.truncation_radius)
-            want.append((radial_mesh(q, q.r_min, r_hi, residual)[0], build_mesh(q, total, f)))
-    assert len(meshes) == len(want)
-    for got, (rho, ref) in zip(meshes, want):
-        assert np.array_equal(got.rho, rho)
-        assert got.rho.size < ref.rho.size
-        for name in ("ang_mu", "ang_phi", "ang_weight"):
-            assert np.array_equal(getattr(got, name), getattr(ref, name))
+            assert np.array_equal(got.rho, radial_mesh(q, q.r_min, r_hi, 2.0)[0])
+            x_perp = math.hypot(w[0], w[1]) * T * r_hi
+            n_mu, n_phi = q.n_cos_theta, q.n_phi
+            if x_perp > 0.0:
+                n_mu = max(n_mu, math.ceil(q.nodes_per_wavelength * x_perp / (2 * math.pi)) + 16)
+                n_phi = max(n_phi, math.ceil(q.nodes_per_wavelength * x_perp / (2 * math.pi)) + 8)
+            mu, wmu, phi, wphi = angular_mesh(q, n_mu, n_phi)
+            assert np.array_equal(got.ang_mu, np.repeat(mu, phi.size))
+            assert np.array_equal(got.ang_phi, np.tile(phi, mu.size))
+            assert np.array_equal(got.ang_weight, (wmu[:, None] * wphi[None, :]).ravel())
+            ref = build_mesh(q, total, f)
+            for name in ("rho", "ang_mu", "ang_phi", "ang_weight"):
+                assert np.array_equal(getattr(got, name), getattr(ref, name))
 
 
-def _limit_T_against_total(params, quad, probe, T_list):
-    """Worst |(vhat + term2 + term3) - <v_hat_T, f>| over the total's scale:
-    the sum on the Filon path, the total on the Gauss path and its mesh."""
-    f = photon_wavefunction(probe)
+def _product_rule(leaves, f, freq, r_hi, n_mu, n_phi, r_lo=1e-8):
+    """<leaf, f> for each leaf on a product rule of this module's own,
+    through `values`: Gauss-Legendre of order 20 on 8 geometric panels per
+    decade from ``r_lo``, each split to keep 8 nodes per wavelength of
+    ``freq``; Gauss-Legendre in mu; midpoints in phi offset by a quarter."""
+    x, w = np.polynomial.legendre.leggauss(20)
+    edges = r_lo * 10.0 ** (np.arange(8 * math.ceil(math.log10(r_hi / r_lo)) + 1) / 8)
+    edges = np.append(edges[edges < r_hi], r_hi)
+    rho, wr = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        cuts = np.linspace(a, b, 1 + math.ceil(8.0 * freq * (b - a) / (2.0 * math.pi * 20)))
+        mid, half = 0.5 * (cuts[1:] + cuts[:-1]), 0.5 * (cuts[1:] - cuts[:-1])
+        rho.append((mid[:, None] + half[:, None] * x).ravel())
+        wr.append((half[:, None] * w).ravel())
+    rho = np.concatenate(rho)
+    wr = np.concatenate(wr) * rho * rho
+    mu, wmu = np.polynomial.legendre.leggauss(n_mu)
+    phi = (np.arange(n_phi) + 0.25) * (2.0 * math.pi / n_phi)
+    ang_mu, ang_phi = np.repeat(mu, n_phi), np.tile(phi, n_mu)
+    ang_w = np.repeat(wmu, n_phi) * (2.0 * math.pi / n_phi)
+    sums = [0j] * len(leaves)
+    step = max(1, 200_000 // rho.size)
+    for start in range(0, ang_mu.size, step):
+        cols = slice(start, start + step)
+        m, p = ang_mu[None, cols], ang_phi[None, cols]
+        fv = f.values(rho[:, None], m, p)
+        wt = wr[:, None] * ang_w[None, cols]
+        for n, v in enumerate(leaves):
+            g = np.sum(np.conjugate(v.values(rho[:, None], m, p)) * fv, axis=-1)
+            sums[n] += complex(np.sum(g * wt))
+    return sums
+
+
+@functools.lru_cache(maxsize=8)
+def _limit_T_oracle(w, T, r_hi):
+    """<v_hat, f>, <term2, f>, <term3, f> and <v_hat_T, f> for the forward
+    probe on `_product_rule`, resolving |t_c + u + T| + |w| T + pads."""
+    params = DressingParams(w=w)
+    f = photon_wavefunction(make_field(5.0, (0.0, 0.0, 0.0), radius=1.0))
+    leaves = [profile_wavefunction(params, "v_hat")] + [
+        profile_wavefunction(params, kind, T) for kind in ("term2", "term3", "v_hat_T")]
+    freq = 5.0 + params.u + T + T * params.speed + 2.0
+    # with w on the 3-axis the integrand does not depend on phi
+    n_phi = 2 if w[:2] == (0.0, 0.0) else 24
+    return _product_rule(leaves, f, freq, r_hi, 48, n_phi)
+
+
+def _limit_T_against_product_rule(w, quad, T_list):
+    """Worst gap, over the rows' scales, between each of vhat, term2, term3
+    and their sum from `limit_T_study` of the forward probe and the same
+    pairings of the true profiles and probe on `_product_rule`."""
+    params = DressingParams(w=w)
+    probe = make_field(5.0, (0.0, 0.0, 0.0), radius=1.0)
+    r_hi = min(quad.r_max, photon_wavefunction(probe).truncation_radius,
+               profile_wavefunction(params, "v_hat").truncation_radius)
     worst = 0.0
     for row in limit_T_study(params, probe, T_list, quad):
-        ref = pair(profile_wavefunction(params, "v_hat_T", T=row["T"]), f, quad)
-        worst = max(worst, abs(row["vhat"] + row["term2"] + row["term3"] - ref.value) / ref.scale)
+        want = _limit_T_oracle(w, row["T"], r_hi)
+        got = (row["vhat"], row["term2"], row["term3"], row["vhat"] + row["term2"] + row["term3"])
+        worst = max(worst, max(abs(a - b) for a, b in zip(got, want)) / row["scale"])
     return worst
 
 
-def test_limit_T_parts_match_total_across_rules(params, quad, forward_probe):
-    assert _limit_T_against_total(params, quad, forward_probe, (1.0, 10.0, 100.0)) <= 1e-10
+def test_limit_T_parts_match_total_across_rules(quad):
+    # the parts on the library's envelope rule with Filon carriers against a
+    # Gauss rule that resolves every carrier, evaluated through values()
+    assert _limit_T_against_product_rule((0.0, 0.0, 0.3), quad, (1.0, 10.0, 100.0)) <= 1e-10
 
 
-def test_limit_T_cross_rule_check_fails_with_shifted_carrier(params, quad, forward_probe,
-                                                             monkeypatch):
-    # negative control: a probe that declares c0 + 40 is demodulated by the
-    # wrong carrier, which the residual radial rule cannot resolve
+def test_limit_T_parts_match_total_across_rules_oblique(quad):
+    # an oblique velocity: omega depends on both angles, and |w_perp| T
+    # raises both angular counts
+    assert _limit_T_against_product_rule((0.2, 0.1, 0.2), quad, (1.0,)) <= 1e-10
+
+
+def _with_carriers(wf, move):
+    """``wf`` whose parts declare the carriers ``move((c0, c))``."""
+    evaluate = wf.evaluator
+
+    def evaluator(rho, mu, phi):
+        return tuple(part._replace(waves=tuple((move(carrier), a) for carrier, a in part.waves))
+                     for part in evaluate(rho, mu, phi))
+
+    return replace(wf, evaluator=evaluator, carriers=tuple(move(c) for c in wf.carriers))
+
+
+def test_limit_T_cross_rule_check_fails_with_shifted_carrier(quad, monkeypatch):
+    # negative control: a probe that declares c0 + 40 is a different field,
+    # which the product rule of the true probe sees
     real = pairing.photon_wavefunction
+    monkeypatch.setattr(pairing, "photon_wavefunction",
+                        lambda fields: _with_carriers(real(fields), lambda c: (c[0] + 40.0, c[1])))
+    assert _limit_T_against_product_rule((0.0, 0.0, 0.3), quad, (10.0,)) > 1e-10
 
-    def shifted(fields):
-        wf = real(fields)
-        return replace(wf, phase_terms=tuple((c0 + 40.0, c1) for c0, c1 in wf.phase_terms))
 
-    monkeypatch.setattr(pairing, "photon_wavefunction", shifted)
-    try:
-        worst = _limit_T_against_total(params, quad, forward_probe, (10.0,))
-    except ToleranceNotMet:
-        return
-    assert worst > 1e-10
+def test_limit_T_cross_rule_check_fails_with_tilted_carrier(quad, monkeypatch):
+    # negative control: profiles whose carriers declare c = 1.03 T w
+    real = pairing.profile_wavefunction
+    monkeypatch.setattr(
+        pairing, "profile_wavefunction",
+        lambda params, kind, T=None: _with_carriers(
+            real(params, kind, T), lambda c: (c[0], tuple(1.03 * x for x in c[1]))))
+    assert _limit_T_against_product_rule((0.0, 0.0, 0.3), quad, (10.0,)) > 1e-10
+
+
+def test_term2_guard_band_where_khat_w_vanishes():
+    # w = (0.3, 0, 0) and phi nodes at pi/2 and 3 pi/2 on both levels, where
+    # khat.w is 0 to rounding: term2's split form would divide by it there,
+    # its sinc form does not.  n_phi = 12 (24 refined) with no offset puts
+    # them there; the transverse rule asks for fewer (11 and 14 at r_max 10)
+    params = DressingParams(w=(0.3, 0.0, 0.0))
+    q = QuadratureSpec(r_max=10.0, n_phi=12, phi_offset=0.0)
+    f = photon_wavefunction(make_field(5.0, (0.0, 0.0, 0.0), direction=(1.0, 0.5, 1.0),
+                                       radius=1.0))
+    for kind in ("term2", "v_hat_T"):
+        v = profile_wavefunction(params, kind, T=1.0)
+        for level in (q, q.refined()):
+            mesh = build_mesh(level, v, f)
+            kx, _, _ = unit_direction(mesh.ang_mu, mesh.ang_phi)
+            assert np.min(np.abs(kx)) < 1e-16
+        res = pair(v, f, q)
+        assert np.isfinite(res.value)
+        (want,) = _product_rule([v], f, 5.0 + params.u + 1.0 + 0.3 + 2.0, 10.0, 48, 24)
+        assert abs(res.value - want) <= res.error_estimate
+        assert abs(want) > 1e-5 * res.scale
 
 
 def test_build_mesh_respects_truncation(quad, forward_probe):

@@ -235,6 +235,26 @@ def test_filon_weights_are_gauss_weights_at_zero_frequency():
     assert np.array_equal(radial_filon_weights(q, 1e-8, 40.0, 3.0, 0.0), w)
 
 
+def test_filon_weights_take_an_array_of_frequencies():
+    # one row per omega, each the scalar call's weights; a zero omega in the
+    # array still gives the Gauss weights bit for bit
+    omegas = np.array([0.0, -3.7, 0.02, 11.0, 250.0, -1e4])
+    got = filon_gauss(1e-3, 2.0, 5, 16, omegas)
+    assert got.shape == (omegas.size, 5 * 16)
+    for omega, row in zip(omegas, got):
+        one = filon_gauss(1e-3, 2.0, 5, 16, omega)
+        assert np.max(np.abs(row - one)) <= 1e-15 * np.max(np.abs(one))
+    assert np.array_equal(got[0], panel_gauss(1e-3, 2.0, 5, 16)[1].astype(complex))
+    q = QuadratureSpec()
+    _, w = radial_mesh(q, 1e-8, 40.0, 3.0)
+    rows = radial_filon_weights(q, 1e-8, 40.0, 3.0, omegas.reshape(2, 3))
+    assert rows.shape == (2, 3, w.size)
+    assert np.array_equal(rows[0, 0], w.astype(complex))
+    for omega, row in zip(omegas, rows.reshape(omegas.size, -1)):
+        one = radial_filon_weights(q, 1e-8, 40.0, 3.0, omega)
+        assert np.max(np.abs(row - one)) <= 1e-15 * np.max(np.abs(one))
+
+
 def _monomial_moments(lo, hi, omega, kmax):
     """int_lo^hi x^k e^(i omega x) dx for k <= kmax, from the antiderivative
     in 150-digit arithmetic."""
