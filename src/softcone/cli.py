@@ -169,10 +169,11 @@ def _build_field(d: dict) -> TestFieldPair:
     return TestFieldPair(tuple(terms), cone)
 
 
-def _validate_study(where: str, entry: dict, fields: dict):
+def _validate_study(where: str, entry: dict, params: DressingParams, fields: dict):
     """Reject options a study does not read or cannot run, a field name that
-    names no field, and a study that would check nothing: a verdict over no
-    checks would pass whatever the program does."""
+    names no field, a velocity faster than ``params.v_max``, and a study that
+    would check nothing: a verdict over no checks would pass whatever the
+    program does."""
     name = entry["name"]
     options = studies.STUDY_OPTIONS[name]
     for key, value in entry.items():
@@ -193,6 +194,16 @@ def _validate_study(where: str, entry: dict, fields: dict):
                 f"{where}.{key}: no field named {opts[key]!r}; "
                 f"fields: {', '.join(map(str, fields)) or 'none'}"
             )
+    velocities = []
+    if name == "ir-divergence":
+        velocities = [("speeds", j, (0.0, 0.0, v)) for j, v in enumerate(opts["speeds"])]
+    elif name == "superselection-slope":
+        velocities = [("pairs", j, w) for j, pair in enumerate(opts["pairs"]) for w in pair]
+    for key, j, w in velocities:
+        try:
+            replace(params, w=tuple(float(c) for c in w))
+        except ValueError as exc:
+            raise ConfigError(f"{where}.{key}[{j}]: {exc}") from exc
     if name == "locality":
         confs = opts["configurations"]
         if not confs:
@@ -236,7 +247,7 @@ class ScenarioConfig:
         try:
             self.params = _build_params(raw.get("params", {}))
             self.quadrature = _build_quadrature(raw.get("quadrature", {}))
-        except (TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid parameter block: {exc}") from exc
         self.fields = {}
         for name, d in (raw.get("fields") or {}).items():
@@ -257,7 +268,7 @@ class ScenarioConfig:
                 raise ConfigError(f"{where}: study {name!r} is listed more than once")
             self.studies.append(dict(entry))
         for idx, entry in enumerate(self.studies):
-            _validate_study(f"studies[{idx}]", entry, self.fields)
+            _validate_study(f"studies[{idx}]", entry, self.params, self.fields)
 
 
 def parse_config(path: str) -> ScenarioConfig:
@@ -296,7 +307,10 @@ def emit_plot_data(report: dict, output_dir: str | None = None) -> list:
 
 
 def _provenance(config_bytes: bytes) -> dict:
-    """The config's sha256 and the run's environment, for report.json."""
+    """The config's sha256 and the run's environment, for report.json.  The
+    BLAS thread settings are recorded (None where unset) because a product
+    split across threads may sum in another order: the CSVs are byte-identical
+    only between runs with the same settings."""
     # imported once the studies are done: hashlib maps OpenSSL, a few MB that
     # would otherwise add to the run's peak memory
     import hashlib
@@ -307,7 +321,9 @@ def _provenance(config_bytes: bytes) -> dict:
     return {
         "config_sha256": hashlib.sha256(config_bytes).hexdigest(),
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
-                        "platform": f"{host.system}-{host.release}-{host.machine}"},
+                        "platform": f"{host.system}-{host.release}-{host.machine}",
+                        **{name: os.environ.get(name) for name in
+                           ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}},
     }
 
 

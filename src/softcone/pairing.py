@@ -20,14 +20,12 @@ over the angular nodes a, with omega_pq(a) = (c0_q - c0_p) + (c_q - c_p).khat_a.
 F is integrated exactly in the carrier by Filon weights
 (`quadrature.radial_filon_weights`), once per distinct omega, so the radial
 rule only resolves the envelopes (``envelope_bandwidth``) and costs the same
-whatever the carriers.  The carriers still set the angular rule:
-
-* a carrier difference (c0, c3) (see ``phase_terms``) whose stationary cosine
-  mu* = -c0/c3 falls inside (a padded) [-1, 1] makes the angular integral
-  oscillatory: the cos-theta node count is raised to the nodes-per-wavelength
-  target for |c3|;
-* a carrier rate across the 3-axis (``x_perp_extent``) oscillates in both
-  angles and raises both angular counts.
+whatever the carriers.  They set the angular rule only where a carrier
+difference has a stationary direction, on which omega vanishes (|c0| <= |c|,
+padded by ``RESONANCE_WINDOW``): there the integrand oscillates at rho |c| in
+angle, so the cos-theta count resolves max(|c3|, |c_perp|) and the phi count
+|c_perp| over the radial range.  Any other pair raises nothing: its F is
+smooth in omega away from 0, and the two-level check guards every entry.
 
 The L1 mass (``scale``) is the Gauss sum of |integrand| on the mesh; it
 separates into a radial and an angular sum when the entry has one pair of
@@ -68,7 +66,7 @@ from .quadrature import (
 from .testfields import TestFieldPair, photon_wavefunction
 
 TWO_PI = 2.0 * math.pi
-RESONANCE_WINDOW = 1.3   # |mu*| below this engages the angular bandwidth rule
+RESONANCE_WINDOW = 1.3   # |c0| / |c| below this: the pair has a stationary direction
 MU_PAD = 16
 PHI_PAD = 8
 CHUNK_ELEMENTS = 600_000  # radial-nodes x angular-nodes budget per chunk
@@ -123,27 +121,20 @@ def build_mesh(
     if not (0.0 <= r_lo < r_hi):
         raise ValueError("need 0 <= r_lo < r_hi")
 
+    n_mu, n_phi, npw = spec.n_cos_theta, spec.n_phi, spec.nodes_per_wavelength
     freq = 0.0
-    resonant_c1 = 0.0
-    x_perp = 0.0
     if spec.oscillation_aware:
         freq = v.envelope_bandwidth + f.envelope_bandwidth
-        for cv0, cv1 in v.phase_terms:
-            for cf0, cf1 in f.phase_terms:
-                c0, c1 = cf0 - cv0, cf1 - cv1
-                if abs(c1) > 1e-12 and abs(c0 / c1) <= RESONANCE_WINDOW:
-                    resonant_c1 = max(resonant_c1, abs(c1))
-        x_perp = v.x_perp_extent + f.x_perp_extent
+        for cv in v.carriers:
+            for cf in f.carriers:
+                c0, c = carrier_difference(cv, cf)
+                rate = math.hypot(*c)
+                if rate > 1e-12 and abs(c0) <= RESONANCE_WINDOW * rate:
+                    across = math.hypot(c[0], c[1])
+                    n_mu = max(n_mu, math.ceil(npw * max(abs(c[2]), across) * r_hi / TWO_PI) + MU_PAD)
+                    if across:
+                        n_phi = max(n_phi, math.ceil(npw * across * r_hi / TWO_PI) + PHI_PAD)
     rho, rho_w = radial_mesh(spec, r_lo, r_hi, freq)
-
-    n_mu = spec.n_cos_theta
-    n_phi = spec.n_phi
-    npw = spec.nodes_per_wavelength
-    if resonant_c1 > 0.0:
-        n_mu = max(n_mu, math.ceil(npw * resonant_c1 * r_hi / TWO_PI) + MU_PAD)
-    if x_perp > 0.0:
-        n_mu = max(n_mu, math.ceil(npw * x_perp * r_hi / TWO_PI) + MU_PAD)
-        n_phi = max(n_phi, math.ceil(npw * x_perp * r_hi / TWO_PI) + PHI_PAD)
     mu, wmu, phi, wphi = angular_mesh(spec, n_mu, n_phi)
 
     ang_mu = np.repeat(mu, phi.size)

@@ -28,7 +28,6 @@ Conventions fixed here and relied on everywhere else:
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -162,7 +161,7 @@ class PhotonWaveFunction:
     * ``truncation_radius``: beyond it the amplitude is negligible or cut;
     * ``carriers``: the distinct carriers (c0, c) of the parts' waves.  A pairing
       integrates each carrier difference exactly along rho, so they set only
-      the angular rule, through ``phase_terms`` and ``x_perp_extent``;
+      the angular rule, and only for a difference with a stationary direction;
     * ``envelope_bandwidth``: the rate along rho of the radial factors
       (support halfwidths), which is all an oscillation-aware radial rule
       resolves.
@@ -174,18 +173,6 @@ class PhotonWaveFunction:
     carriers: tuple = (NO_CARRIER,)
     envelope_bandwidth: float = 0.0
     label: str = ""
-
-    @property
-    def phase_terms(self) -> tuple:
-        """(c0, c3) of each carrier: the direction-free rate and the rate
-        along the 3-axis, whose differences size the resonant mu rule."""
-        return tuple(dict.fromkeys((c0, c[2]) for c0, c in self.carriers))
-
-    @property
-    def x_perp_extent(self) -> float:
-        """Largest carrier rate across the 3-axis, which sizes both angular
-        rules."""
-        return max(math.hypot(c[0], c[1]) for _, c in self.carriers)
 
     def parts(self, rho, mu, phi) -> dict:
         return multiply_out(self.evaluator(rho, mu, phi), rho, mu, phi)

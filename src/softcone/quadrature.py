@@ -34,6 +34,7 @@ oscillation still raises the panel density linearly with its frequency.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -258,6 +259,9 @@ class QuadratureSpec:
     def __post_init__(self):
         if not (0 < self.r_min < self.r_max):
             raise ValueError("need 0 < r_min < r_max")
+        counts = (self.panels_per_decade, self.gauss_order, self.n_cos_theta, self.n_phi)
+        if not all(isinstance(n, numbers.Integral) for n in counts):
+            raise ValueError("panel, order and angular node counts must be integers")
         if self.panels_per_decade < 1 or self.gauss_order < 2:
             raise ValueError("panel/order counts too small")
         if self.n_cos_theta < 2 or self.n_phi < 1:

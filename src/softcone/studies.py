@@ -48,9 +48,10 @@ NAME = (lambda x: x is None or isinstance(x, str), "a field name")
 NUMBER = (_is_number, "a number")
 NUMBERS = (_is_numbers, "a list of numbers")
 SOME_NUMBERS = (lambda x: _is_numbers(x) and len(x) > 0, "a non-empty list of numbers")
-# a slope or a spread through one point fits nothing
-SIGMAS = (lambda x: _is_numbers(x) and len({float(v) for v in x}) >= 2,
-          "a list of at least two distinct numbers")
+# a slope or a spread through one point fits nothing, and a shell needs sigma > 0
+SIGMAS = (lambda x: _is_numbers(x) and len({float(v) for v in x}) >= 2
+          and all(0.0 < float(v) < math.inf for v in x),
+          "a list of at least two distinct positive numbers")
 SIGMA_GRID = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
 # T = 0 is the empty window: a zero profile with pairing scale 0
 WINDOWS = (lambda x: _is_numbers(x) and all(float(T) > 0 for T in x),
@@ -81,13 +82,13 @@ STUDY_OPTIONS = {
                 "region_T": (NUMBERS, [3.0]),
                 "decay_pair": ((lambda x: _is_numbers(x, (0, 2)), "an empty list or two numbers"),
                                [1.0, 100.0])},
-    "weyl-laws": {"n_labels": ((lambda x: _is_number(x) and float(x) >= 3,
-                                "a number >= 3 (associativity takes triples)"), 12),
+    "weyl-laws": {"n_labels": ((lambda x: isinstance(x, int) and x >= 3,
+                                "an integer >= 3 (associativity takes triples)"), 12),
                   "seed": (NUMBER, 20240817),
                   "tolerance": (NUMBER, 1e-10)},
     "locality": {"ratio_tol": (NUMBER, 1e-6),
                  "configurations": ((lambda x: isinstance(x, list), "a list"), [])},
-    "wave-appendix": {"t_list": (NUMBERS, [0.0, 1.0, 2.0]),
+    "wave-appendix": {"t_list": (SOME_NUMBERS, [0.0, 1.0, 2.0]),
                       "drift_rtol": (NUMBER, 1e-6),
                       "include_halving": (FLAG, False),
                       "bj_field": (NAME, None)},

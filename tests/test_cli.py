@@ -160,7 +160,12 @@ def test_decay_pair_outside_windows_rejected(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_report_records_environment_and_config_hash(tmp_path):
+def test_report_records_environment_and_config_hash(tmp_path, monkeypatch):
+    # the BLAS thread settings are recorded because CSV identity holds only
+    # at one setting
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
     path = write_config(tmp_path, "params: {alpha: 0.01}\n")
     assert cli.run(path, str(tmp_path / "o")) == 0
     report = json.loads((tmp_path / "o" / "report.json").read_text())
@@ -168,7 +173,10 @@ def test_report_records_environment_and_config_hash(tmp_path):
         assert report["config_sha256"] == hashlib.sha256(fh.read()).hexdigest()
     assert report["environment"] == {"python": platform.python_version(),
                                      "numpy": np.__version__,
-                                     "platform": "-".join(platform.uname()[i] for i in (0, 2, 4))}
+                                     "platform": "-".join(platform.uname()[i] for i in (0, 2, 4)),
+                                     "OPENBLAS_NUM_THREADS": "1",
+                                     "OMP_NUM_THREADS": None,
+                                     "MKL_NUM_THREADS": "2"}
 
 
 def test_limit_T_rows_report_one_node_count_at_every_T(tmp_path):
@@ -350,14 +358,53 @@ def test_locality_numbers_checked_at_parse_time(tmp_path, capsys, conf, key):
         ("  - name: limit-T\n    field: probe\n    decay_pair: [1.0]\n", "decay_pair"),
         ("  - name: superselection-slope\n    pairs: [[[0.0, 0.0, 0.3], [0.0, 0.1]]]\n", "pairs"),
         ("  - name: wave-appendix\n    t_list: 2.0\n", "t_list"),
+        ("  - name: wave-appendix\n    t_list: []\n", "t_list"),
+        ("  - name: weyl-laws\n    n_labels: 1e9\n", "n_labels"),
+        ("  - name: ir-divergence\n    speeds: [0.1, 0.95]\n", "speeds[1]"),
+        ("  - name: superselection-slope\n    pairs: [[[0.0, 0.0, 0.3], [0.0, 0.7, 0.7]]]\n",
+         "pairs[0]"),
     ],
-    ids=["null-T_list", "word-in-sigma_grid", "one-decay-time", "short-velocity", "scalar-t_list"],
+    ids=["null-T_list", "word-in-sigma_grid", "one-decay-time", "short-velocity", "scalar-t_list",
+         "empty-t_list", "n_labels-as-string",
+         "speed-above-v_max", "pair-above-v_max"],
 )
 def test_malformed_list_option_rejected(tmp_path, capsys, study, key):
     text = MINI_CONFIG.split("studies:")[0] + "studies:\n  - name: difference-norm\n" + study
     rc = cli.run(write_config(tmp_path, text), str(tmp_path / "o"))
     assert rc == 2
     assert f"studies[1].{key}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "study, key",
+    [
+        ("  - name: ir-divergence\n    sigma_grid: [0, 1.0e-3]\n", "sigma_grid"),
+        ("  - name: difference-norm\n    sigma_probes: [-1, 1.0e-3]\n", "sigma_probes"),
+    ],
+    ids=["zero-sigma", "negative-sigma-probe"],
+)
+def test_nonpositive_sigma_rejected(tmp_path, capsys, study, key):
+    # a shell [sigma, kappa] needs sigma > 0
+    text = MINI_CONFIG.split("studies:")[0] + "studies:\n" + study
+    rc = cli.run(write_config(tmp_path, text), str(tmp_path / "o"))
+    assert rc == 2
+    assert f"studies[0].{key}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "block",
+    ["params:\n  g: {}\n", "quadrature:\n  n_phi: 2.5\n"],
+    ids=["g-without-halfwidth", "fractional-n_phi"],
+)
+def test_malformed_parameter_block_rejected(tmp_path, capsys, block):
+    # a missing key or a count that is not an integer must not reach the
+    # studies as a traceback
+    text = block + "studies:\n  - name: difference-norm\n"
+    rc = cli.run(write_config(tmp_path, text), str(tmp_path / "o"))
+    assert rc == 2
+    assert "invalid parameter block" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -10,7 +10,7 @@ from softcone.errors import (
     SupportNotInForwardCone,
     ToleranceNotMet,
 )
-from softcone import pairing
+from softcone import pairing, studies
 from softcone.pairing import (
     PairingResult,
     build_mesh,
@@ -134,9 +134,8 @@ def test_pair_is_a_one_entry_gram(params, quad, forward_probe):
 def test_limit_T_radial_rule_is_the_same_at_every_T(quad, forward_probe, monkeypatch, w):
     # the carriers t_c + u (+ T) and T khat.w are integrated exactly, so the
     # radial rule resolves the envelopes alone (probe pads 0.5 + 0.5, window
-    # halfwidth 1) at every T; the angular rule is the one spelled out here:
-    # no resonance (|t_c + u + T| > 1.3 |w_3| T), and the transverse rate
-    # |w_perp| T raises both counts
+    # halfwidth 1) at every T; no pair of carriers has a stationary direction
+    # (|t_c + u + T| > 1.3 |w| T), so the angular rule is the spec's own
     params = DressingParams(w=w)
     meshes = []
 
@@ -145,7 +144,7 @@ def test_limit_T_radial_rule_is_the_same_at_every_T(quad, forward_probe, monkeyp
         return [0j] * 3, [0.0] * 3
 
     monkeypatch.setattr(pairing, "_accumulate", spy)
-    T_list = (1.0, 10.0, 100.0)
+    T_list = (1.0, 10.0, 100.0, 1000.0)
     limit_T_study(params, forward_probe, T_list, quad)
     f = photon_wavefunction(forward_probe)
     assert len(meshes) == 2 * len(T_list)
@@ -154,12 +153,7 @@ def test_limit_T_radial_rule_is_the_same_at_every_T(quad, forward_probe, monkeyp
         for q, got in ((quad, coarse), (quad.refined(), fine)):
             r_hi = min(q.r_max, total.truncation_radius, f.truncation_radius)
             assert np.array_equal(got.rho, radial_mesh(q, q.r_min, r_hi, 2.0)[0])
-            x_perp = math.hypot(w[0], w[1]) * T * r_hi
-            n_mu, n_phi = q.n_cos_theta, q.n_phi
-            if x_perp > 0.0:
-                n_mu = max(n_mu, math.ceil(q.nodes_per_wavelength * x_perp / (2 * math.pi)) + 16)
-                n_phi = max(n_phi, math.ceil(q.nodes_per_wavelength * x_perp / (2 * math.pi)) + 8)
-            mu, wmu, phi, wphi = angular_mesh(q, n_mu, n_phi)
+            mu, wmu, phi, wphi = angular_mesh(q)
             assert np.array_equal(got.ang_mu, np.repeat(mu, phi.size))
             assert np.array_equal(got.ang_phi, np.tile(phi, mu.size))
             assert np.array_equal(got.ang_weight, (wmu[:, None] * wphi[None, :]).ravel())
@@ -238,9 +232,70 @@ def test_limit_T_parts_match_total_across_rules(quad):
 
 
 def test_limit_T_parts_match_total_across_rules_oblique(quad):
-    # an oblique velocity: omega depends on both angles, and |w_perp| T
-    # raises both angular counts
+    # an oblique velocity: omega depends on both angles, on the spec's
+    # angular rule, since no pair of carriers has a stationary direction
     assert _limit_T_against_product_rule((0.2, 0.1, 0.2), quad, (1.0,)) <= 1e-10
+
+
+def _rotated_limit_T_gap(quad, direction):
+    """Worst gap, over the rows' scales, between the limit-T rows of the
+    on-axis w = (0, 0, 0.3) against the forward probe and those of
+    w = R (0, 0, 0.3) = (0.2, 0.1, 0.2) against the probe polarised along
+    ``direction``, at T = 1 to 10^3.  The probe's bumps are radial about its
+    centre at the origin, so with ``direction`` = R e3 the two pairings are
+    one rotated into the other."""
+    T_list = (1.0, 10.0, 100.0, 1000.0)
+    rows = [limit_T_study(DressingParams(w=w), make_field(5.0, (0.0, 0.0, 0.0), direction=d,
+                                                          radius=1.0), T_list, quad)
+            for w, d in (((0.0, 0.0, 0.3), (0.0, 0.0, 1.0)), ((0.2, 0.1, 0.2), direction))]
+    return max(abs(a[key] - b[key]) / a["scale"] for a, b in zip(*rows)
+               for key in ("vhat", "term2", "term3", "total"))
+
+
+def test_limit_T_rows_are_rotation_invariant_for_oblique_velocities(quad):
+    # the off-axis rows take the spec's angular rule at every T, like the
+    # on-axis ones, and agree with them once the probe is rotated too
+    assert _rotated_limit_T_gap(quad, (2.0 / 3.0, 1.0 / 3.0, 2.0 / 3.0)) <= 1e-10
+
+
+def test_limit_T_rotation_check_fails_with_unrotated_probe(quad):
+    # negative control: rotating w alone changes the pairing
+    assert _rotated_limit_T_gap(quad, (0.0, 0.0, 1.0)) > 1e-10
+
+
+def _transverse_locality_pair():
+    """The locality study's spacelike pair at centres (0, +-0.9, 0, 0),
+    separated along the 1-axis, and its quadrature."""
+    f1, f2 = studies._locality_pair({"centers": [[0.0, 0.9, 0.0, 0.0], [0.0, -0.9, 0.0, 0.0]]})
+    return (photon_wavefunction(f1), photon_wavefunction(f2),
+            studies.locality_quadrature(QuadratureSpec()))
+
+
+def test_transverse_stationary_pair_raises_phi_count():
+    # the carriers differ by (0, (1.8, 0, 0)): omega vanishes on the great
+    # circle khat_1 = 0, and |c_perp| = 1.8 sets both angular counts
+    v, f, q = _transverse_locality_pair()
+    for level in (q, q.refined()):
+        mesh = build_mesh(level, v, f)
+        r_hi = min(level.r_max, v.truncation_radius, f.truncation_radius)
+        target = level.nodes_per_wavelength * 1.8 * r_hi / (2 * math.pi)
+        n_phi = max(level.n_phi, math.ceil(target) + pairing.PHI_PAD)
+        n_mu = max(level.n_cos_theta, math.ceil(target) + pairing.MU_PAD)
+        assert n_phi > level.n_phi
+        assert mesh.ang_mu.size == n_mu * n_phi
+        assert np.unique(mesh.ang_phi).size == n_phi
+    res = pair(v, f, q)
+    assert abs(res.value.imag) <= 1e-6 * res.scale
+
+
+def test_transverse_stationary_pair_fails_on_the_spec_phi_count(monkeypatch):
+    # negative control: the same pair with the phi count held at the spec's
+    real = pairing.angular_mesh
+    monkeypatch.setattr(pairing, "angular_mesh",
+                        lambda spec, n_mu=None, n_phi=None: real(spec, n_mu, spec.n_phi))
+    v, f, q = _transverse_locality_pair()
+    with pytest.raises(ToleranceNotMet):
+        pair(v, f, q)
 
 
 def _with_carriers(wf, move):
@@ -277,7 +332,8 @@ def test_term2_guard_band_where_khat_w_vanishes():
     # w = (0.3, 0, 0) and phi nodes at pi/2 and 3 pi/2 on both levels, where
     # khat.w is 0 to rounding: term2's split form would divide by it there,
     # its sinc form does not.  n_phi = 12 (24 refined) with no offset puts
-    # them there; the transverse rule asks for fewer (11 and 14 at r_max 10)
+    # them there; no pair of carriers has a stationary direction, so the
+    # mesh keeps the spec's count
     params = DressingParams(w=(0.3, 0.0, 0.0))
     q = QuadratureSpec(r_max=10.0, n_phi=12, phi_offset=0.0)
     f = photon_wavefunction(make_field(5.0, (0.0, 0.0, 0.0), direction=(1.0, 0.5, 1.0),
@@ -303,7 +359,8 @@ def test_build_mesh_respects_truncation(quad, forward_probe):
 
 
 def test_build_mesh_resonant_pair_densifies_mu(quad):
-    # spacelike-offset pair: phase pair with c0 ~ 0, c1 = dz -> resonant
+    # spacelike-offset pair: the carriers differ by (0, (0, 0, -8)), so omega
+    # vanishes on the equator, a stationary direction
     f1 = photon_wavefunction(make_field(0.0, (0.0, 0.0, 4.0)))
     f2 = photon_wavefunction(make_field(0.0, (0.0, 0.0, -4.0)))
     mesh = build_mesh(quad, f1, f2)

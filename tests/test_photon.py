@@ -107,14 +107,14 @@ def test_inner_product_antilinear_first_slot(quad):
 
 
 def test_sum_keeps_every_phase_term():
-    # the mesh budgets frequency and resonance from phase_terms, so a sum
-    # must carry every distinct term of its summands
+    # the mesh sizes its angular rule from the carriers, so a sum must carry
+    # every distinct carrier of its summands
     wfs = [photon_wavefunction(make_field(0.1 * n, (0.0, 0.0, 0.05 * n))) for n in range(20)]
     total = wfs[0]
     for wf in wfs[1:]:
         total = total + wf
-    assert total.phase_terms == tuple(wf.phase_terms[0] for wf in wfs)
-    assert len(set(total.phase_terms)) == 20
+    assert total.carriers == tuple(wf.carriers[0] for wf in wfs)
+    assert len(set(total.carriers)) == 20
 
 
 def _grid():
