@@ -171,9 +171,9 @@ def _build_field(d: dict) -> TestFieldPair:
 
 def _validate_study(where: str, entry: dict, params: DressingParams, fields: dict):
     """Reject options a study does not read or cannot run, a field name that
-    names no field, a velocity faster than ``params.v_max``, and a study that
-    would check nothing: a verdict over no checks would pass whatever the
-    program does."""
+    names no field, a velocity faster than ``params.v_max``, a sigma at or
+    above ``params.kappa``, and a study that would check nothing: a verdict
+    over no checks would pass whatever the program does."""
     name = entry["name"]
     options = studies.STUDY_OPTIONS[name]
     for key, value in entry.items():
@@ -204,6 +204,13 @@ def _validate_study(where: str, entry: dict, params: DressingParams, fields: dic
             replace(params, w=tuple(float(c) for c in w))
         except ValueError as exc:
             raise ConfigError(f"{where}.{key}[{j}]: {exc}") from exc
+    # one rule for the three sigma-shell studies: their shells lie below kappa
+    for key in ("sigma_grid", "sigma_probes"):
+        for j, sigma in enumerate(opts.get(key, ())):
+            if float(sigma) >= params.kappa:
+                raise ConfigError(
+                    f"{where}.{key}[{j}]: sigma {sigma!r} is not below params.kappa = {params.kappa!r}"
+                )
     if name == "locality":
         confs = opts["configurations"]
         if not confs:

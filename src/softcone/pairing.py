@@ -12,7 +12,8 @@ uniform angular rule.  Every pairing is evaluated twice, on a base mesh and
 a refined one; the difference is the reported error estimate, and the
 refined value is returned.
 
-Under an oscillation-aware spec each pair of waves (p, q) contributes
+Under an oscillation-aware spec every part separates, so each pair of waves
+(p, q) contributes, on one path for every pair,
 
     sum_a ang_pq(a) F_pq(omega_pq(a)),   F_pq(omega) = int conj(R_p) R_q rho^2 e^(i omega rho) d rho,
 
@@ -41,6 +42,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -177,8 +179,7 @@ def _flat(part: Part, nr: int, na: int) -> Part:
     nodes."""
     return Part(part.key, np.broadcast_to(part.radial, (nr, 1))[:, 0],
                 tuple((carrier, np.broadcast_to(angular, (1, na))[0] if np.ndim(angular) else angular)
-                      for carrier, angular in part.waves),
-                part.rest)
+                      for carrier, angular in part.waves))
 
 
 def _gauss_sums(mesh: _Mesh, parts, entries):
@@ -211,8 +212,7 @@ def _gauss_sums(mesh: _Mesh, parts, entries):
         scalars = {
             k: multiply_out([Part(part.key, part.radial[:, None],
                                   tuple((carrier, angular[sl] if np.ndim(angular) else angular)
-                                        for carrier, angular in part.waves),
-                                  part.rest)
+                                        for carrier, angular in part.waves))
                              for part in parts[k]], rho_col, mu, phi)
             for k in used
         }
@@ -240,32 +240,14 @@ def _gauss_sums(mesh: _Mesh, parts, entries):
     return values, l1
 
 
-@dataclass(frozen=True)
-class _PartPair:
-    """conj(wave of part p) times wave of part q in one entry: radial
-    product, angular product with the polarisation dot and the angular
-    weights, carrier difference, and the two parts' non-separating
-    factors."""
+class _PartPair(NamedTuple):
+    """conj(wave of part p) times wave of part q in one entry: carrier
+    difference, radial product, and angular product with the polarisation
+    dot and the angular weights."""
 
     delta: tuple
     radial: np.ndarray
     angular: np.ndarray
-    rests: tuple
-
-    def omega(self, khat) -> np.ndarray:
-        """Rate of the carrier difference along rho at each angular node."""
-        return carrier_rate(self.delta, khat)
-
-    def rest(self, rho, mu, phi, cols):
-        """The non-separating factor on the angular nodes ``cols``."""
-        rest_p, rest_q = self.rests
-        out = 1.0
-        args = (rho[:, None], mu[None, cols], phi[None, cols])
-        if rest_p is not None:
-            out = out * np.conjugate(rest_p(*args))
-        if rest_q is not None:
-            out = out * rest_q(*args)
-        return out
 
 
 def _part_pairs(mesh: _Mesh, khat, parts_i, parts_j, dots) -> list:
@@ -278,13 +260,15 @@ def _part_pairs(mesh: _Mesh, khat, parts_i, parts_j, dots) -> list:
                 vp, vq = polarisation_vector(p.key, khat), polarisation_vector(q.key, khat)
                 dots[p.key, q.key] = vp[0] * vq[0] + vp[1] * vq[1] + vp[2] * vq[2]
             weight = dots[p.key, q.key] * mesh.ang_weight
-            radial = np.conjugate(p.radial) * q.radial
+            radial = None
             for carrier_p, ang_p in p.waves:
                 for carrier_q, ang_q in q.waves:
                     ang = np.conjugate(ang_p) * ang_q * weight
                     if ang.any():
-                        pairs.append(_PartPair(carrier_difference(carrier_p, carrier_q), radial,
-                                               ang, (p.rest, q.rest)))
+                        if radial is None:
+                            radial = np.conjugate(p.radial) * q.radial
+                        pairs.append(_PartPair(carrier_difference(carrier_p, carrier_q),
+                                               radial, ang))
     return pairs
 
 
@@ -302,43 +286,32 @@ def _filon_sums(mesh: _Mesh, omega: np.ndarray, radials: np.ndarray) -> np.ndarr
 def _carrier_sums(mesh: _Mesh, khat, parts, entries):
     """`_accumulate` on a mesh of an oscillation-aware spec.
 
-    Every pair of waves whose factors separate adds sum_a ang(a) F(omega(a)),
-    with F evaluated once per distinct omega; the pairs of all entries that
-    share a carrier difference share its Filon weights.  A pair with a factor
-    that does not separate sums its Filon weights node by node, on the nodes
-    where its angular factor is nonzero.  The L1 mass of an entry with one
-    separating pair is a radial sum times an angular sum; any other entry
-    forms its integrand in blocks of angular nodes, each carrier difference
-    with its phase relative to the entry's first."""
-    rho, mu, phi = mesh.rho, mesh.ang_mu, mesh.ang_phi
-    rho2 = rho * rho
+    Every pair of waves adds sum_a ang(a) F(omega(a)), with F evaluated once
+    per distinct omega; the pairs of all entries that share a carrier
+    difference share its Filon weights.  The L1 mass of an entry with one
+    pair is a radial sum times an angular sum; any other entry forms its
+    integrand in blocks of angular nodes, each carrier difference with its
+    phase relative to the entry's first."""
+    rho2 = mesh.rho * mesh.rho
     dots = {}
     pairs = [_part_pairs(mesh, khat, parts[i], parts[j], dots) for i, j in entries]
     values = [0.0 + 0.0j for _ in entries]
     l1 = [0.0 for _ in entries]
-    step = max(1, CHUNK_ELEMENTS // (2 * rho.size))
 
-    separable = {}
+    by_delta = {}
     for e, entry_pairs in enumerate(pairs):
         for pair in entry_pairs:
-            if pair.rests == (None, None):
-                separable.setdefault(pair.delta, []).append((e, pair))
-            else:
-                for cols in _blocks(np.flatnonzero(pair.angular), step):
-                    omega, inverse = np.unique(pair.omega(khat)[cols], return_inverse=True)
-                    weights = radial_filon_weights(*mesh.radial_rule, omega)[inverse]
-                    integrand = (pair.radial * rho2)[:, None] * pair.rest(rho, mu, phi, cols)
-                    sums = np.einsum("ar,ra->a", weights, integrand)
-                    values[e] += complex(pair.angular[cols] @ sums)
-    for group in separable.values():
-        omega, inverse = np.unique(group[0][1].omega(khat), return_inverse=True)
+            by_delta.setdefault(pair.delta, []).append((e, pair))
+    for delta, group in by_delta.items():
+        omega, inverse = np.unique(carrier_rate(delta, khat), return_inverse=True)
         radials = np.stack([pair.radial * rho2 for _, pair in group], axis=1)
         sums = _filon_sums(mesh, omega, radials)
         for m, (e, pair) in enumerate(group):
             values[e] += complex(pair.angular @ sums[inverse, m])
 
+    step = max(1, CHUNK_ELEMENTS // (2 * mesh.rho.size))
     for e, entry_pairs in enumerate(pairs):
-        if len(entry_pairs) == 1 and entry_pairs[0].rests == (None, None):
+        if len(entry_pairs) == 1:
             (pair,) = entry_pairs
             l1[e] = float(np.abs(pair.radial) @ mesh.rho_weight) * float(np.sum(np.abs(pair.angular)))
         elif entry_pairs:
@@ -352,11 +325,11 @@ def _l1_mass(mesh: _Mesh, khat, pairs, step: int) -> float:
     the first pair's carrier difference: the part that does not depend on
     the direction goes into its radial factor, so pairs that share a
     difference c form one matrix product and one phase per node."""
-    rho, mu, phi = mesh.rho, mesh.ang_mu, mesh.ang_phi
+    rho = mesh.rho
     ref0, ref = pairs[0].delta
-    classes, joint = {}, []
+    classes = {}
     for pair in pairs:
-        (joint if pair.rests != (None, None) else classes.setdefault(pair.delta[1], [])).append(pair)
+        classes.setdefault(pair.delta[1], []).append(pair)
 
     def relative(pair):
         offset = pair.delta[0] - ref0
@@ -367,7 +340,9 @@ def _l1_mass(mesh: _Mesh, khat, pairs, step: int) -> float:
                np.stack([pair.angular for pair in group]))
               for c, group in classes.items()]
     total = 0.0
-    for cols in _blocks(np.arange(mu.size), step):
+    nodes = np.arange(mesh.ang_mu.size)
+    for start in range(0, nodes.size, step):
+        cols = nodes[start:start + step]
         kh = tuple(k[cols] for k in khat)
         g = np.zeros((rho.size, cols.size), dtype=complex)
         for shift, radials, angulars in stacks:
@@ -375,10 +350,6 @@ def _l1_mass(mesh: _Mesh, khat, pairs, step: int) -> float:
             if any(shift[1]):
                 term *= _phases(rho, carrier_rate(shift, kh))
             g += term
-        for pair in joint:
-            term = (pair.radial[:, None] * pair.angular[None, cols]
-                    * pair.rest(rho, mu, phi, cols))
-            g += term * _phases(rho, pair.omega(kh) - pairs[0].omega(kh))
         total += float(mesh.rho_weight @ np.abs(g).sum(axis=1))
     return total
 
@@ -388,11 +359,6 @@ def _phases(rho: np.ndarray, rate: np.ndarray) -> np.ndarray:
     exponential per distinct rate."""
     distinct, inverse = np.unique(rate, return_inverse=True)
     return np.exp(1j * rho[:, None] * distinct[None, :])[:, inverse]
-
-
-def _blocks(nodes: np.ndarray, step: int):
-    """``nodes`` in consecutive blocks of at most ``step``."""
-    return [nodes[start:start + step] for start in range(0, nodes.size, step)]
 
 
 def gram(leaves, entries, quadrature: QuadratureSpec | None = None, r_bounds=None) -> dict:

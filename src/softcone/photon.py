@@ -9,7 +9,8 @@ A wavefunction is held as a sum of parts (`Part`),
     radial(rho) * sum_k angular_k(khat) e^(i rho (c0_k + c_k.khat)) * vector(polarisation),
 
 with exact carriers (c0, c) and a polarisation vector that depends on the
-direction alone.  A polarisation is a hashable key:
+direction alone.  Every part separates: outside its carriers no factor
+couples rho to the direction.  A polarisation is a hashable key:
 
 * ``("electric", u)``  the transverse projection  u - (khat.u) khat;
 * ``("magnetic", u)``  the cross product  khat x u;
@@ -81,20 +82,17 @@ NO_CARRIER = (0.0, (0.0, 0.0, 0.0))
 class Part(NamedTuple):
     """One term on the polarisation ``key``:
 
-        radial(rho) * rest * sum_k angular_k(khat) e^(i rho (c0_k + c_k.khat))
+        radial(rho) * sum_k angular_k(khat) e^(i rho (c0_k + c_k.khat))
 
     over its ``waves`` (carrier_k, angular_k), each carrier (c0, c) exact.
     ``radial`` broadcasts against rho alone and each ``angular`` against the
-    angles alone, so a pairing evaluates each once per mesh.  ``rest`` is
-    None or a callable (rho, mu, phi) for a factor that does not separate;
-    it is needed only where an angular factor is nonzero.  Waves that cancel
-    each other belong in one part, so they are summed first wherever the
-    part is multiplied out."""
+    angles alone, so a pairing evaluates each once per mesh.  Waves that
+    cancel each other belong in one part, so they are summed first wherever
+    the part is multiplied out."""
 
     key: tuple
     radial: object
     waves: tuple
-    rest: object = None
 
 
 def carrier_rate(carrier, khat):
@@ -137,8 +135,6 @@ def multiply_out(parts, rho, mu, phi) -> dict:
             half = np.sin(0.5 * x)
             angular = angular + a * (-2.0 * half * half + 1j * np.sin(x))
         s = (part.radial * angular) * _carrier_phase(carrier, rho, khat)
-        if part.rest is not None:
-            s = s * part.rest(rho, mu, phi)
         out[part.key] = out[part.key] + s if part.key in out else s
     return out
 

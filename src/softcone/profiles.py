@@ -20,9 +20,10 @@ Doppler denominator) with different radial weights, on the polarisation
 Each term is a part with an exact carrier: e^(-i u |k|) for ``v_hat``,
 e^(-i (u + T) |k| + i T k.w) for ``term3``.  ``term2`` splits into that
 carrier and e^(-i (u + T) |k|), with angular factors -+1/(khat.w), except on
-directions where |khat.w| T R < 1 (R the truncation radius): there it keeps
-the stable form i T e^(i b T / 2) sinc(b T / (2 pi)) on the second carrier,
-whose residual phase stays below one radian.
+directions where |khat.w| T R < 1 (R the truncation radius): there, on the
+second carrier, (e^(ix) - 1)/(ix) with x = |k| khat.w T and |x| < 1 is the
+series sum_(n < GUARD_TERMS) (ix)^n/(n + 1)!, one part per term with radial
+factor |k|^n and angular factor (khat.w)^n.
 
 The common prefactor alpha^(1/2) is included.  g~ is the unit-normalized 3D
 transform of a radial bump, rescaled so g~(0) equals ``g_scale`` (1 for the
@@ -46,6 +47,8 @@ from .testfields import (
 )
 
 TWO_PI = 2.0 * math.pi
+# terms of term2's guard-band series: |x| < 1 there and 1/19! < 2^-53
+GUARD_TERMS = 18
 PROFILE_KINDS = ("v_sigma", "v_limit", "v_hat", "v_hat_T", "term2", "term3")
 
 
@@ -155,11 +158,6 @@ def _dressed_wavefunction(params: DressingParams, kind: str, T) -> PhotonWaveFun
         late = (-(u + T), (0.0, 0.0, 0.0))
         swept = (-(u + T), tuple(T * c for c in params.w))
 
-    def sinc_form(rho, mu, phi):
-        kw, _ = _angular_parts(params, mu, phi)
-        b = rho * kw
-        return np.exp(0.5j * b * T) * np.sinc(b * T / TWO_PI)
-
     def evaluator(rho, mu, phi):
         rho = np.asarray(rho, dtype=float)
         _require_positive(rho)
@@ -175,14 +173,17 @@ def _dressed_wavefunction(params: DressingParams, kind: str, T) -> PhotonWaveFun
             parts.append(Part(key, envelope, waves))
         if kind in ("term2", "v_hat_T"):
             # (e^(i rho k.w T) - 1) / (rho k.w) on its two carriers, except
-            # where the residual phase |k.w| T rho stays below one radian up
-            # to the truncation radius: there the sinc form, on one carrier
+            # where the residual phase x = rho k.w T stays below one radian up
+            # to the truncation radius: there i T (e^(ix) - 1)/(ix) as its
+            # series, on one carrier
             near = np.abs(kw) * T * truncation < 1.0
             inv_kw = np.divide(1.0, kw, out=np.zeros(np.shape(kw)), where=~near)
-            parts += [
-                Part(key, envelope, ((late, inv_kw), (swept, -inv_kw))),
-                Part(key, -g * rho ** -0.5, ((late, 1j * T * near),), sinc_form),
-            ]
+            parts.append(Part(key, envelope, ((late, inv_kw), (swept, -inv_kw))))
+            if near.any():
+                radial, angular = -1j * T * g * rho ** -0.5, near * 1.0
+                for n in range(GUARD_TERMS):
+                    parts.append(Part(key, radial, ((late, angular),)))
+                    radial, angular = radial * (1j * T * rho / (n + 2)), angular * kw
         return tuple(parts)
 
     if kind == "v_hat":

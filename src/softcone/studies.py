@@ -53,6 +53,9 @@ SIGMAS = (lambda x: _is_numbers(x) and len({float(v) for v in x}) >= 2
           and all(0.0 < float(v) < math.inf for v in x),
           "a list of at least two distinct positive numbers")
 SIGMA_GRID = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
+# a drift from one time to itself reads 0 whatever the program does
+TIMES = (lambda x: _is_numbers(x) and len({float(t) for t in x}) >= 2,
+         "a list of at least two distinct numbers")
 # T = 0 is the empty window: a zero profile with pairing scale 0
 WINDOWS = (lambda x: _is_numbers(x) and all(float(T) > 0 for T in x),
            "a list of positive numbers")
@@ -88,7 +91,7 @@ STUDY_OPTIONS = {
                   "tolerance": (NUMBER, 1e-10)},
     "locality": {"ratio_tol": (NUMBER, 1e-6),
                  "configurations": ((lambda x: isinstance(x, list), "a list"), [])},
-    "wave-appendix": {"t_list": (SOME_NUMBERS, [0.0, 1.0, 2.0]),
+    "wave-appendix": {"t_list": (TIMES, [0.0, 1.0, 2.0]),
                       "drift_rtol": (NUMBER, 1e-6),
                       "include_halving": (FLAG, False),
                       "bj_field": (NAME, None)},

@@ -359,13 +359,15 @@ def test_locality_numbers_checked_at_parse_time(tmp_path, capsys, conf, key):
         ("  - name: superselection-slope\n    pairs: [[[0.0, 0.0, 0.3], [0.0, 0.1]]]\n", "pairs"),
         ("  - name: wave-appendix\n    t_list: 2.0\n", "t_list"),
         ("  - name: wave-appendix\n    t_list: []\n", "t_list"),
+        ("  - name: wave-appendix\n    t_list: [1.0]\n", "t_list"),
+        ("  - name: wave-appendix\n    t_list: [1.0, 1.0]\n", "t_list"),
         ("  - name: weyl-laws\n    n_labels: 1e9\n", "n_labels"),
         ("  - name: ir-divergence\n    speeds: [0.1, 0.95]\n", "speeds[1]"),
         ("  - name: superselection-slope\n    pairs: [[[0.0, 0.0, 0.3], [0.0, 0.7, 0.7]]]\n",
          "pairs[0]"),
     ],
     ids=["null-T_list", "word-in-sigma_grid", "one-decay-time", "short-velocity", "scalar-t_list",
-         "empty-t_list", "n_labels-as-string",
+         "empty-t_list", "one-time-t_list", "one-distinct-time-t_list", "n_labels-as-string",
          "speed-above-v_max", "pair-above-v_max"],
 )
 def test_malformed_list_option_rejected(tmp_path, capsys, study, key):
@@ -386,6 +388,24 @@ def test_malformed_list_option_rejected(tmp_path, capsys, study, key):
 )
 def test_nonpositive_sigma_rejected(tmp_path, capsys, study, key):
     # a shell [sigma, kappa] needs sigma > 0
+    text = MINI_CONFIG.split("studies:")[0] + "studies:\n" + study
+    rc = cli.run(write_config(tmp_path, text), str(tmp_path / "o"))
+    assert rc == 2
+    assert f"studies[0].{key}:" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "study, key",
+    [
+        ("  - name: ir-divergence\n    sigma_grid: [2.0, 1.0e-3]\n", "sigma_grid[0]"),
+        ("  - name: superselection-slope\n    sigma_grid: [1.0e-3, 1.0]\n", "sigma_grid[1]"),
+        ("  - name: difference-norm\n    sigma_probes: [1.0e-2, 1.0e3]\n", "sigma_probes[1]"),
+    ],
+    ids=["sigma-above-kappa", "sigma-at-kappa", "probe-above-kappa"],
+)
+def test_sigma_at_or_above_kappa_rejected(tmp_path, capsys, study, key):
+    # every sigma-shell study takes sigma below kappa (1 here)
     text = MINI_CONFIG.split("studies:")[0] + "studies:\n" + study
     rc = cli.run(write_config(tmp_path, text), str(tmp_path / "o"))
     assert rc == 2

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from softcone import profiles
 from softcone.errors import PointSingularity
 from softcone.pairing import pair
 from softcone.profiles import (
@@ -15,8 +16,10 @@ from softcone.profiles import (
     profile_wavefunction,
     v_hat_T_direct,
 )
+from softcone.photon import transverse_project
 from softcone.studies import superselection_slope
-from softcone.quadrature import QuadratureSpec
+from softcone.quadrature import QuadratureSpec, unit_direction
+from softcone.testfields import RadialBumpTransform
 
 
 def closed_form_A(v):
@@ -165,6 +168,74 @@ def test_windowed_profile_matches_direct_double_integral(params):
             np.testing.assert_allclose(
                 wf(k), direct, atol=1e-9 * np.max(np.abs(direct))
             )
+
+
+def _guard_band_points(w, T, R, rhos):
+    """(rho, mu, phi) on directions with |khat.w| T R = 0, 0.5 and 0.99, both
+    signs, at each rho, for w = (|w|, 0, 0)."""
+    mu, phi = [], []
+    for c in (0.0, 0.5, 0.99):
+        for sign in (1.0, -1.0):
+            for m in (0.3, -0.8):
+                mu.append(m)
+                phi.append(math.acos(sign * c / (w[0] * T * R) / math.sqrt(1.0 - m * m)))
+    shape = (len(rhos), len(mu))
+    return (np.broadcast_to(np.asarray(rhos, dtype=float)[:, None], shape).ravel(),
+            np.broadcast_to(mu, shape).ravel(), np.broadcast_to(phi, shape).ravel())
+
+
+def _guard_band_error():
+    """Worst error of term2 and v_hat_T on term2's guard band, where
+    |khat.w| T R < 1, against the closed form
+
+        term2 = -i T g~(|k|) |k|^(-1/2) e^(-i (u + T) |k|) (e^(ix) - 1)/(ix) P_tr w,
+
+    x = |k| khat.w T, with (e^(ix) - 1)/(ix) written as e^(ix/2) sin(x/2)/(x/2).
+    v_hat_T's error is taken against v_hat + term3 + that form (v_hat and
+    term3 carry no series), relative to the largest of the three terms."""
+    params = DressingParams(w=(0.3, 0.0, 0.0))
+    tr = RadialBumpTransform(params.g)
+    g_scale = math.sqrt(params.alpha) * params.g_scale / float(tr(np.array([0.0]))[0])
+    size = lambda a: np.linalg.norm(a, axis=-1)
+    worst = 0.0
+    for T in (1.0, 5.0, 20.0):
+        R = profile_wavefunction(params, "term2", T).truncation_radius
+        rho, mu, phi = _guard_band_points(params.w, T, R, np.geomspace(1e-6, R, 25))
+        khat = np.stack(unit_direction(mu, phi), axis=-1)
+        x = rho * (khat @ params.w_vec) * T
+        closed = (-1j * T * g_scale * tr(rho) * rho ** -0.5 * np.exp(1j * rho * -(params.u + T))
+                  * np.exp(0.5j * x) * np.sinc(x / (2.0 * math.pi)))
+        t2 = closed[:, None] * transverse_project(khat, params.w_vec)
+        got = profile_wavefunction(params, "term2", T).values(rho, mu, phi)
+        worst = max(worst, float(np.max(size(got - t2) / size(t2))))
+        v = profile_wavefunction(params, "v_hat").values(rho, mu, phi)
+        t3 = profile_wavefunction(params, "term3", T).values(rho, mu, phi)
+        got = profile_wavefunction(params, "v_hat_T", T).values(rho, mu, phi)
+        scale = np.maximum(size(v), np.maximum(size(t2), size(t3)))
+        worst = max(worst, float(np.max(size(got - (v + t2 + t3)) / scale)))
+    return worst
+
+
+def test_term2_guard_band_series_matches_closed_form():
+    # c09 samples random directions and never lands in the band
+    assert _guard_band_error() <= 1e-14
+
+
+def test_term2_guard_band_series_check_fails_with_fewer_terms(monkeypatch):
+    # negative control: 8 terms leave an error near 1/9! at |x| = 0.99
+    monkeypatch.setattr(profiles, "GUARD_TERMS", 8)
+    assert _guard_band_error() > 1e-14
+
+
+def test_term2_guard_band_matches_direct_double_integral():
+    params = DressingParams(w=(0.3, 0.0, 0.0))
+    for T in (1.0, 5.0):
+        wf = profile_wavefunction(params, "v_hat_T", T)
+        rho, mu, phi = _guard_band_points(params.w, T, wf.truncation_radius, (0.4, 1.5))
+        k = rho[:, None] * np.stack(unit_direction(mu, phi), axis=-1)
+        for kk in k[::5]:
+            direct = v_hat_T_direct(params, T, kk)
+            np.testing.assert_allclose(wf(kk), direct, atol=1e-9 * np.max(np.abs(direct)))
 
 
 def test_windowed_remainder_oscillates_without_pointwise_decay(params):
