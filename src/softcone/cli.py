@@ -10,6 +10,7 @@ themselves live in `softcone.studies`.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -48,7 +49,6 @@ quadrature:
   gauss_order: 16
   n_cos_theta: 48
   n_phi: 8
-  oscillation_aware: true
   nodes_per_wavelength: 6.0
 fields:
   probe:
@@ -126,8 +126,17 @@ class ConfigError(Exception):
     pass
 
 
+def _known_keys(block: str, kw: dict, cls):
+    """Reject a key of the ``block`` mapping that names no field of ``cls``."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    for key in kw:
+        if key not in names:
+            raise ValueError(f"{block}.{key}: unknown key; it takes {', '.join(names)}")
+
+
 def _build_params(d: dict) -> DressingParams:
     kw = dict(d or {})
+    _known_keys("params", kw, DressingParams)
     g = kw.pop("g", None)
     if g is not None:
         kw["g"] = BumpProfile(
@@ -139,7 +148,14 @@ def _build_params(d: dict) -> DressingParams:
 
 
 def _build_quadrature(d: dict) -> QuadratureSpec:
-    return replace(QuadratureSpec(), **(d or {}))
+    kw = dict(d or {})
+    # older configs (and perfbench's) still write the switch; every pairing
+    # now takes the Filon carrier path, so true is the only setting
+    if kw.pop("oscillation_aware", True) is not True:
+        raise ValueError("quadrature.oscillation_aware: only true is accepted; "
+                         "every pairing integrates its carriers with Filon weights")
+    _known_keys("quadrature", kw, QuadratureSpec)
+    return replace(QuadratureSpec(), **kw)
 
 
 def _build_field(d: dict) -> TestFieldPair:

@@ -12,15 +12,16 @@ uniform angular rule.  Every pairing is evaluated twice, on a base mesh and
 a refined one; the difference is the reported error estimate, and the
 refined value is returned.
 
-Under an oscillation-aware spec every part separates, so each pair of waves
-(p, q) contributes, on one path for every pair,
+Every part separates, so each pair of waves (p, q) contributes, on one path
+for every pair and every spec,
 
     sum_a ang_pq(a) F_pq(omega_pq(a)),   F_pq(omega) = int conj(R_p) R_q rho^2 e^(i omega rho) d rho,
 
 over the angular nodes a, with omega_pq(a) = (c0_q - c0_p) + (c_q - c_p).khat_a.
 F is integrated exactly in the carrier by Filon weights
-(`quadrature.radial_filon_weights`), once per distinct omega, so the radial
-rule only resolves the envelopes (``envelope_bandwidth``) and costs the same
+(`quadrature.radial_filon_weights`, Gauss weights times the carrier on the
+panels where it hardly turns), once per distinct omega, so the radial rule
+only resolves the envelopes (``envelope_bandwidth``) and costs the same
 whatever the carriers.  They set the angular rule only where a carrier
 difference has a stationary direction, on which omega vanishes (|c0| <= |c|,
 padded by ``RESONANCE_WINDOW``): there the integrand oscillates at rho |c| in
@@ -30,8 +31,7 @@ smooth in omega away from 0, and the two-level check guards every entry.
 
 The L1 mass (``scale``) is the Gauss sum of |integrand| on the mesh; it
 separates into a radial and an angular sum when the entry has one pair of
-waves.  A spec that is not oscillation-aware (the Weyl spec) keeps one
-Gauss mesh for every entry, with the carriers multiplied out.
+waves.
 
 Accumulation runs over angular nodes in a fixed order with fixed block
 sizes, so results are bit-for-bit reproducible.
@@ -54,7 +54,6 @@ from .photon import (
     carrier_difference,
     carrier_rate,
     check_integrable,
-    multiply_out,
     polarisation_vector,
 )
 from .profiles import DressingParams, profile_wavefunction
@@ -99,9 +98,9 @@ class _Mesh:
     ang_mu: np.ndarray
     ang_phi: np.ndarray
     ang_weight: np.ndarray
-    # (spec, r_lo, r_hi, freq) of the radial rule when the spec is
-    # oscillation-aware, which integrates the carriers with Filon weights
-    radial_rule: tuple | None = None
+    # (spec, r_lo, r_hi, freq) of the radial rule, whose Filon weights
+    # integrate the carriers
+    radial_rule: tuple
 
     @property
     def node_count(self) -> int:
@@ -124,26 +123,23 @@ def build_mesh(
         raise ValueError("need 0 <= r_lo < r_hi")
 
     n_mu, n_phi, npw = spec.n_cos_theta, spec.n_phi, spec.nodes_per_wavelength
-    freq = 0.0
-    if spec.oscillation_aware:
-        freq = v.envelope_bandwidth + f.envelope_bandwidth
-        for cv in v.carriers:
-            for cf in f.carriers:
-                c0, c = carrier_difference(cv, cf)
-                rate = math.hypot(*c)
-                if rate > 1e-12 and abs(c0) <= RESONANCE_WINDOW * rate:
-                    across = math.hypot(c[0], c[1])
-                    n_mu = max(n_mu, math.ceil(npw * max(abs(c[2]), across) * r_hi / TWO_PI) + MU_PAD)
-                    if across:
-                        n_phi = max(n_phi, math.ceil(npw * across * r_hi / TWO_PI) + PHI_PAD)
+    freq = v.envelope_bandwidth + f.envelope_bandwidth
+    for cv in v.carriers:
+        for cf in f.carriers:
+            c0, c = carrier_difference(cv, cf)
+            rate = math.hypot(*c)
+            if rate > 1e-12 and abs(c0) <= RESONANCE_WINDOW * rate:
+                across = math.hypot(c[0], c[1])
+                n_mu = max(n_mu, math.ceil(npw * max(abs(c[2]), across) * r_hi / TWO_PI) + MU_PAD)
+                if across:
+                    n_phi = max(n_phi, math.ceil(npw * across * r_hi / TWO_PI) + PHI_PAD)
     rho, rho_w = radial_mesh(spec, r_lo, r_hi, freq)
     mu, wmu, phi, wphi = angular_mesh(spec, n_mu, n_phi)
 
     ang_mu = np.repeat(mu, phi.size)
     ang_phi = np.tile(phi, mu.size)
     ang_w = (wmu[:, None] * wphi[None, :]).ravel()
-    rule = (spec, r_lo, r_hi, freq) if spec.oscillation_aware else None
-    return _Mesh(rho, rho_w * rho * rho, ang_mu, ang_phi, ang_w, rule)
+    return _Mesh(rho, rho_w * rho * rho, ang_mu, ang_phi, ang_w, (spec, r_lo, r_hi, freq))
 
 
 def _meshes(q: QuadratureSpec, leaves, entries, r_bounds=None):
@@ -160,16 +156,13 @@ def _accumulate(mesh: _Mesh, leaves, entries):
 
     Each leaf is evaluated once per mesh, on the radial nodes against all
     angular nodes, so its radial and angular factors each come once however
-    many entries it enters.  On a mesh of an oscillation-aware spec the
-    carriers are integrated with Filon weights (`_carrier_sums`); otherwise
-    they are multiplied out on the shared Gauss mesh (`_gauss_sums`)."""
+    many entries it enters, and every entry's carriers are integrated with
+    Filon weights (`_carrier_sums`)."""
     used = sorted({k for entry in entries for k in entry})
     rho, mu, phi = mesh.rho, mesh.ang_mu, mesh.ang_phi
     parts = {k: [_flat(part, rho.size, mu.size)
                  for part in leaves[k].evaluator(rho[:, None], mu[None, :], phi[None, :])]
              for k in used}
-    if mesh.radial_rule is None:
-        return _gauss_sums(mesh, parts, entries)
     return _carrier_sums(mesh, unit_direction(mu, phi), parts, entries)
 
 
@@ -180,64 +173,6 @@ def _flat(part: Part, nr: int, na: int) -> Part:
     return Part(part.key, np.broadcast_to(part.radial, (nr, 1))[:, 0],
                 tuple((carrier, np.broadcast_to(angular, (1, na))[0] if np.ndim(angular) else angular)
                       for carrier, angular in part.waves))
-
-
-def _gauss_sums(mesh: _Mesh, parts, entries):
-    """`_accumulate` on a Gauss mesh.  The integrand of an entry is
-
-        g = sum_pq conj(s_ip) (s_jq d_pq),    d_pq = vec_p . vec_q,
-
-    over the polarisations p of leaf i and q of leaf j, with each leaf's
-    parts multiplied out per polarisation on a chunk of angular nodes: each
-    product d_pq is formed once per chunk, each row scalar conjugated once,
-    and entries run column by column so each s_jq d_pq is shared by the
-    entries of column j and dropped after them.  The chunk's angular width
-    is divided by the number of leaves it holds, at least two, so a chunk
-    takes no more memory than the two operands of one pairing."""
-    used = sorted(parts)
-    rows = sorted({i for i, _ in entries})
-    nr = mesh.rho.size
-    rho_col = mesh.rho[:, None]
-    jac = mesh.rho_weight[:, None]
-    nb = max(1, CHUNK_ELEMENTS // (nr * max(2, len(used))))
-    by_column = sorted(range(len(entries)), key=lambda e: entries[e][1])
-    values = [0.0 + 0.0j for _ in entries]
-    l1 = [0.0 for _ in entries]
-    for start in range(0, mesh.ang_mu.size, nb):
-        sl = slice(start, start + nb)
-        mu = mesh.ang_mu[sl][None, :]
-        phi = mesh.ang_phi[sl][None, :]
-        w = jac * mesh.ang_weight[sl][None, :]
-        khat = unit_direction(mu, phi)
-        scalars = {
-            k: multiply_out([Part(part.key, part.radial[:, None],
-                                  tuple((carrier, angular[sl] if np.ndim(angular) else angular)
-                                        for carrier, angular in part.waves))
-                             for part in parts[k]], rho_col, mu, phi)
-            for k in used
-        }
-        conj = {i: [(p, np.conjugate(s)) for p, s in scalars[i].items()] for i in rows}
-        vecs = {p: polarisation_vector(p, khat) for k in used for p in scalars[k]}
-        dots, column = {}, None
-        for e in by_column:
-            i, j = entries[e]
-            if j != column:
-                column, weighted = j, {}
-            g = None
-            for p, a in conj[i]:
-                for q, b in scalars[j].items():
-                    if (p, q) not in dots:
-                        vp, vq = vecs[p], vecs[q]
-                        dots[p, q] = vp[0] * vq[0] + vp[1] * vq[1] + vp[2] * vq[2]
-                    if (p, q) not in weighted:
-                        weighted[p, q] = b * dots[p, q]
-                    term = a * weighted[p, q]
-                    g = term if g is None else g + term
-            if g is None:
-                g = np.zeros(w.shape, dtype=complex)
-            values[e] += complex(np.sum(g * w))
-            l1[e] += float(np.sum(np.abs(g) * w))
-    return values, l1
 
 
 class _PartPair(NamedTuple):
@@ -284,7 +219,7 @@ def _filon_sums(mesh: _Mesh, omega: np.ndarray, radials: np.ndarray) -> np.ndarr
 
 
 def _carrier_sums(mesh: _Mesh, khat, parts, entries):
-    """`_accumulate` on a mesh of an oscillation-aware spec.
+    """The value and L1 mass of each entry, for `_accumulate`.
 
     Every pair of waves adds sum_a ang(a) F(omega(a)), with F evaluated once
     per distinct omega; the pairs of all entries that share a carrier
@@ -449,9 +384,9 @@ def limit_T_study(
 
     Each row reports the total, the unwindowed part and the two remainder
     terms, all on a shared per-T mesh, so total = vhat + term2 + term3 holds
-    identically up to float addition.  Under an oscillation-aware spec the
-    carriers t_c + u, t_c + u + T and T khat.w are integrated exactly, so the
-    radial rule resolves the envelopes alone and is the same at every T.
+    identically up to float addition.  The carriers t_c + u, t_c + u + T and
+    T khat.w are integrated exactly, so the radial rule resolves the
+    envelopes alone and is the same at every T.
     ``scale`` is the sum of the three parts' L1 masses."""
     T_values = [float(T) for T in T_list]
     if not T_values or any(T <= 0 for T in T_values):

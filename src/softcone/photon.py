@@ -159,7 +159,7 @@ class PhotonWaveFunction:
       integrates each carrier difference exactly along rho, so they set only
       the angular rule, and only for a difference with a stationary direction;
     * ``envelope_bandwidth``: the rate along rho of the radial factors
-      (support halfwidths), which is all an oscillation-aware radial rule
+      (support halfwidths), which is all the pairings' radial rule
       resolves.
     """
 

@@ -28,8 +28,12 @@ unit vectors.
 A known linear phase e^(i omega rho) is integrated exactly by Filon-Legendre
 weights on the same nodes (``filon_gauss``, ``radial_filon_weights``, one row
 per entry of an array of omegas; Iserles and Norsett 2005), so the panel
-density only has to follow what oscillates besides it.  Any other
-oscillation still raises the panel density linearly with its frequency.
+density only has to follow what oscillates besides it.  On a panel where the
+phase turns by less than ``SLOW_PANEL`` radians over a half-width, the
+weights are the Gauss weights times the phase at the nodes, which costs one
+cos and one sin per node; only faster panels pay for the Bessel moments
+(``spherical_jn``).  Any other oscillation still raises the panel density
+linearly with its frequency.
 """
 from __future__ import annotations
 
@@ -47,6 +51,7 @@ MAX_ANGULAR_NODES = 4096
 TRANSFORM_ORDER = 16             # Gauss order of the radial transform rules
 TRANSFORM_NODES_PER_WAVELENGTH = 6.0
 KERNEL_CHUNK = 4_000_000         # kernel elements per block of kernel_matvec
+SLOW_PANEL = 1.0                 # |omega| h below this: Gauss weights times the carrier
 
 
 @lru_cache(maxsize=64)
@@ -77,29 +82,18 @@ def panel_gauss(lo: float, hi: float, npanels: int, order: int):
 
 def spherical_jn(nmax: int, kappa) -> np.ndarray:
     """Spherical Bessel functions j_0 .. j_nmax at each entry of ``kappa``,
-    shape ``kappa.shape + (nmax + 1,)``.
+    shape ``kappa.shape + (nmax + 1,)``, for |kappa| >= 1 (the fast panels
+    of `_filon_weights`).
 
-    |kappa| < 1 sums the power series, |kappa| > nmax runs the recurrence
-    j_(n+1) = (2n+1)/kappa j_n - j_(n-1) upward (stable for n < kappa), and
-    the range between runs it downward from n = 2 nmax + 40 (Miller), scaled
-    to the closed form of j_0 or j_1, whichever is larger.  Negative
-    arguments use j_n(-kappa) = (-1)^n j_n(kappa)."""
+    |kappa| > nmax runs the recurrence j_(n+1) = (2n+1)/kappa j_n - j_(n-1)
+    upward (stable for n < kappa), and the range between runs it downward
+    from n = 2 nmax + 40 (Miller), scaled to the closed form of j_0 or j_1,
+    whichever is larger.  Negative arguments use j_n(-kappa) = (-1)^n
+    j_n(kappa)."""
     k = np.asarray(kappa, dtype=float)
     x = np.abs(k).ravel()
-    out = np.zeros((x.size, nmax + 1))
+    out = np.empty((x.size, nmax + 1))
     n = np.arange(nmax + 1)
-
-    small = x < 1.0
-    if small.any():
-        xs = x[small, None]
-        # x^n / (2n+1)!! times sum_m (-x^2/2)^m / (m! (2n+3)(2n+5)...(2n+2m+1))
-        lead = xs**n / np.cumprod(2.0 * n + 1.0)
-        term = np.ones_like(lead)
-        total = np.ones_like(lead)
-        for m in range(1, 18):
-            term = term * (-0.5 * xs * xs) / (m * (2.0 * n + 2.0 * m + 1.0))
-            total = total + term
-        out[small] = lead * total
 
     up = x > nmax
     if up.any():
@@ -111,7 +105,7 @@ def spherical_jn(nmax: int, kappa) -> np.ndarray:
         for m in range(1, nmax):
             out[up, m + 1] = (2 * m + 1) / xu * out[up, m] - out[up, m - 1]
 
-    mid = ~small & ~up
+    mid = ~up
     if mid.any():
         xm = x[mid]
         top = 2 * nmax + 40
@@ -147,25 +141,37 @@ def filon_gauss(lo: float, hi: float, npanels: int, order: int, omega) -> np.nda
     F(x_j) = int_lo^hi F(x) e^(i omega x) dx for F a polynomial of degree
     < ``order`` on each panel, whatever omega.
 
-    On a panel with midpoint m and half-width h,
+    On a panel with midpoint m and half-width h where kappa = |omega| h is at
+    least ``SLOW_PANEL``,
 
         W_j = h e^(i omega m) w_j sum_(n < order) (2n+1) i^n j_n(omega h) P_n(x_j),
 
     from e^(i kappa x) = sum_n (2n+1) i^n j_n(kappa) P_n(x) (Iserles and
-    Norsett 2005).  An array of omegas gives one row of weights each, shape
-    ``omega.shape + (nodes,)``.  At omega = 0 they are the Gauss weights, bit
-    for bit."""
+    Norsett 2005).  On a slower panel the carrier hardly turns, and the Gauss
+    weights times the carrier at the nodes, W_j = h w_j e^(i omega x_j), are
+    exact to about kappa^(order+1) / (2 order)!.  An array of omegas gives
+    one row of weights each, shape ``omega.shape + (nodes,)``.  At omega = 0
+    they are the Gauss weights, bit for bit."""
     return _filon_weights(*_panels(lo, hi, npanels), order, omega)
 
 
 def _filon_weights(mid: np.ndarray, half: np.ndarray, order: int, omega) -> np.ndarray:
     """`filon_gauss` weights on the panels with these midpoint and half-width
     columns, panel by panel, for each entry of ``omega``."""
-    _, w = gauss_rule(order)
+    x, w = gauss_rule(order)
     omega = np.asarray(omega, dtype=float)
     om = omega.reshape(-1, 1, 1)
-    demod = spherical_jn(order - 1, om[..., 0] * half[:, 0]) @ _filon_basis(order)
-    weights = (half * w) * demod * np.exp(1j * om * mid)
+    kappa = om[..., 0] * half[:, 0]
+    fast = np.abs(kappa) >= SLOW_PANEL
+    # the carrier's phase at each node of a slow panel, at the midpoint of a fast one
+    arg = om * (mid + half * x)
+    arg[fast] = (om * mid)[fast]
+    weights = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=weights.real)
+    np.sin(arg, out=weights.imag)
+    weights *= half * w
+    if fast.any():
+        weights[fast] *= spherical_jn(order - 1, kappa[fast]) @ _filon_basis(order)
     return weights.reshape(omega.shape + (-1,))
 
 
@@ -251,7 +257,6 @@ class QuadratureSpec:
     n_cos_theta: int = 48
     n_phi: int = 8
     phi_offset: float = 0.5
-    oscillation_aware: bool = True
     nodes_per_wavelength: float = 6.0
     abs_tol: float = 1e-12
     rel_tol: float = 1e-6
@@ -266,8 +271,8 @@ class QuadratureSpec:
             raise ValueError("panel/order counts too small")
         if self.n_cos_theta < 2 or self.n_phi < 1:
             raise ValueError("angular node counts too small")
-        if self.oscillation_aware and self.nodes_per_wavelength < 6:
-            raise ValueError("nodes_per_wavelength must be >= 6 when oscillation_aware")
+        if self.nodes_per_wavelength < 6:
+            raise ValueError("nodes_per_wavelength must be >= 6")
 
     def refined(self) -> "QuadratureSpec":
         """One refinement level: double panel density and angular resolution."""
@@ -276,9 +281,7 @@ class QuadratureSpec:
             panels_per_decade=2 * self.panels_per_decade,
             n_cos_theta=2 * self.n_cos_theta,
             n_phi=2 * self.n_phi,
-            nodes_per_wavelength=2 * self.nodes_per_wavelength
-            if self.oscillation_aware
-            else self.nodes_per_wavelength,
+            nodes_per_wavelength=2 * self.nodes_per_wavelength,
         )
 
 
@@ -303,9 +306,7 @@ def _radial_panels(spec: QuadratureSpec, r_lo: float, r_hi: float, freq: float =
     panels = []
     budget = 0
     for a, b in zip(edges[:-1], edges[1:]):
-        nsub = 1
-        if spec.oscillation_aware:
-            nsub = panel_count(freq, b - a, spec.nodes_per_wavelength, spec.gauss_order, 1)
+        nsub = panel_count(freq, b - a, spec.nodes_per_wavelength, spec.gauss_order, 1)
         budget += nsub * spec.gauss_order
         if budget > MAX_RADIAL_NODES:
             raise ToleranceNotMet(

@@ -296,22 +296,22 @@ def _random_label(rng: np.random.Generator) -> TestFieldPair:
 
 
 def weyl_quadrature(base: QuadratureSpec) -> QuadratureSpec:
-    """Shared-mesh spec for exact phase arithmetic.
+    """Spec of the Weyl-label pairings: a coarser radial rule cut at r = 12
+    and fixed angular counts.
 
-    Oscillation metadata is ignored so every pairing of same-shape labels
-    lands on one tensor mesh and the symplectic form is exactly bilinear in
-    floating point; the fixed angular counts resolve the worst label offsets
-    (validated against doubled meshes to ~1e-11 relative)."""
+    The labels of `_random_label` share their envelope bandwidths, and no
+    pair of them in its box has a carrier difference that raises the angular
+    counts at r_max = 12, so every product's Gram lands on the same coarse
+    and fine meshes.  The associativity check across per-product Grams (c01)
+    relies on this."""
     return replace(
         base,
-        oscillation_aware=False,
         r_min=max(base.r_min, 1e-3),
         r_max=min(base.r_max, 12.0),
         panels_per_decade=6,
         gauss_order=10,
         n_cos_theta=36,
         n_phi=24,
-        rel_tol=max(base.rel_tol, 1e-4),
     )
 
 

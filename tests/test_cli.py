@@ -414,18 +414,32 @@ def test_sigma_at_or_above_kappa_rejected(tmp_path, capsys, study, key):
 
 
 @pytest.mark.parametrize(
-    "block",
-    ["params:\n  g: {}\n", "quadrature:\n  n_phi: 2.5\n"],
-    ids=["g-without-halfwidth", "fractional-n_phi"],
+    "block, where",
+    [
+        ("params:\n  g: {}\n", ""),
+        ("quadrature:\n  n_phi: 2.5\n", ""),
+        ("quadrature:\n  oscillation_aware: false\n", "quadrature.oscillation_aware:"),
+        ("quadrature:\n  n_phy: 8\n", "quadrature.n_phy: unknown key; it takes r_min,"),
+        ("params:\n  kapa: 1.0\n", "params.kapa: unknown key; it takes alpha,"),
+    ],
+    ids=["g-without-halfwidth", "fractional-n_phi", "oscillation-aware-off",
+         "unknown-quadrature-key", "unknown-params-key"],
 )
-def test_malformed_parameter_block_rejected(tmp_path, capsys, block):
-    # a missing key or a count that is not an integer must not reach the
-    # studies as a traceback
+def test_malformed_parameter_block_rejected(tmp_path, capsys, block, where):
+    # a missing key, a count that is not an integer, the removed Gauss-only
+    # switch or a misspelt key must not reach the studies as a traceback
     text = block + "studies:\n  - name: difference-norm\n"
     rc = cli.run(write_config(tmp_path, text), str(tmp_path / "o"))
     assert rc == 2
-    assert "invalid parameter block" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "invalid parameter block" in err and where in err
     assert not (tmp_path / "o").exists()
+
+
+def test_oscillation_aware_true_is_accepted_and_dropped(tmp_path):
+    # older configs still write the switch that every pairing now obeys
+    cfg = cli.parse_config(write_config(tmp_path, "quadrature:\n  oscillation_aware: true\n"))
+    assert cfg.quadrature == cli.QuadratureSpec()
 
 
 def test_unknown_study_option_rejected(tmp_path, capsys):

@@ -63,16 +63,16 @@ def test_pair_refinement_guard_fires():
     f = photon_wavefunction(make_field(5.0, (0.0, 0.0, 0.0), radius=1.0))
     bad = QuadratureSpec(
         r_min=1e-4, r_max=40.0, panels_per_decade=1, gauss_order=2,
-        n_cos_theta=2, n_phi=1, oscillation_aware=False, rel_tol=1e-10,
-        abs_tol=1e-30,
+        n_cos_theta=2, n_phi=1, rel_tol=1e-10, abs_tol=1e-30,
     )
     with pytest.raises(ToleranceNotMet):
         pair(f, f, bad)
 
 
 def test_gram_entries_match_pair(quad):
-    # on a mesh that ignores phase metadata every entry shares pair()'s mesh,
-    # so the Gram differs from separate pairings only in summation order
+    # on the Weyl-label spec no pair of these labels raises the angular
+    # counts, so every entry shares pair()'s meshes and the Gram differs from
+    # separate pairings only in summation order
     from softcone.studies import weyl_quadrature
 
     q = weyl_quadrature(quad)
@@ -94,8 +94,7 @@ def test_gram_refinement_guard_fires():
     g = photon_wavefunction(make_field(5.5, (0.0, 0.0, 0.3), radius=1.0))
     bad = QuadratureSpec(
         r_min=1e-4, r_max=40.0, panels_per_decade=1, gauss_order=2,
-        n_cos_theta=2, n_phi=1, oscillation_aware=False, rel_tol=1e-10,
-        abs_tol=1e-30,
+        n_cos_theta=2, n_phi=1, rel_tol=1e-10, abs_tol=1e-30,
     )
     with pytest.raises(ToleranceNotMet, match=r"Gram entry \(0, 1\)"):
         gram([f, g], [(0, 1)], bad)

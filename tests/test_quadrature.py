@@ -213,8 +213,9 @@ def test_unit_direction_is_unit_and_matches_angles():
 # ---------------------------------------------------------- Filon weights
 
 def test_spherical_jn_matches_scipy():
+    # its domain: the fast panels of the Filon weights, |kappa| >= SLOW_PANEL
     special = pytest.importorskip("scipy.special")
-    kappa = np.concatenate([[0.0], np.geomspace(1e-8, 1e4, 1201), np.arange(0.25, 40.0, 0.25)])
+    kappa = np.concatenate([np.geomspace(1.0, 1e4, 801), np.arange(1.0, 40.0, 0.25)])
     kappa = np.concatenate([kappa, -kappa])
     got = spherical_jn(15, kappa)
     want = np.stack([special.spherical_jn(n, kappa) for n in range(16)], axis=-1)
@@ -222,7 +223,6 @@ def test_spherical_jn_matches_scipy():
     assert np.max(np.abs(got - want)) <= 1e-14
     nonzero = want != 0.0
     assert np.max(np.abs(got - want)[nonzero] / np.abs(want[nonzero])) <= 1e-11
-    assert np.array_equal(got[0], np.eye(16)[0])
 
 
 def test_filon_weights_are_gauss_weights_at_zero_frequency():
@@ -295,6 +295,13 @@ def _worst_monomial_error(lo, hi, drop_panel_phase=False):
 
 def test_filon_weights_integrate_oscillating_monomials():
     assert _worst_monomial_error(-0.5, 1.5) <= 1e-13
+
+
+def test_filon_check_fails_with_gauss_form_on_turning_panels(monkeypatch):
+    # negative control: with the slow-panel threshold at 20, the panel at
+    # omega = 10 (kappa = 10) takes Gauss weights times the carrier
+    monkeypatch.setattr(quadrature, "SLOW_PANEL", 20.0)
+    assert _worst_monomial_error(-0.5, 1.5) > 1e-13
 
 
 def test_filon_check_fails_without_panel_phase():

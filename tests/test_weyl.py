@@ -32,11 +32,13 @@ TWO_PI = 2 * math.pi
 
 @pytest.fixture(scope="module")
 def shared_quad():
-    # moderate fixed mesh: all labels in this module share truncation scales,
-    # so identities hold to machine precision
+    # the Weyl-label spec: the labels of this module share their envelope
+    # bandwidths, and no pair raises the angular counts at r_max = 12, so
+    # every product pairs on the same two meshes and the identities hold to
+    # rounding
     return QuadratureSpec(
         r_min=1e-3, r_max=12.0, panels_per_decade=6, gauss_order=10,
-        n_cos_theta=36, n_phi=24, oscillation_aware=False, rel_tol=1e-4,
+        n_cos_theta=36, n_phi=24,
     )
 
 
