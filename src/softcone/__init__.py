@@ -2,7 +2,6 @@
 and lightcone-localization checks at desk scale."""
 
 from .errors import (
-    AxisSingularity,
     NonIntegrablePairing,
     PointSingularity,
     SoftconeError,
@@ -27,7 +26,6 @@ from .pairing import (
 from .photon import (
     PhotonWaveFunction,
     check_integrable,
-    polarisation,
     transverse_project,
     zero_wavefunction,
 )

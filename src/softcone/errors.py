@@ -5,11 +5,6 @@ class SoftconeError(Exception):
     """Base class for all package-specific errors."""
 
 
-class AxisSingularity(SoftconeError):
-    """A polarisation-frame evaluation was requested on (or too close to)
-    the k3-axis, where the frame convention is singular."""
-
-
 class PointSingularity(SoftconeError):
     """A dressing profile was evaluated at k = 0, where it diverges."""
 

@@ -18,6 +18,11 @@ for every pair and every spec,
     sum_a ang_pq(a) F_pq(omega_pq(a)),   F_pq(omega) = int conj(R_p) R_q rho^2 e^(i omega rho) d rho,
 
 over the angular nodes a, with omega_pq(a) = (c0_q - c0_p) + (c_q - c_p).khat_a.
+A pair whose angular factors are both constants, as every local test
+field's are, is summed in the frame whose pole is its carrier difference c:
+the sphere integral is the same in any frame, and there omega = c0 + |c| mu
+depends on the cos-theta node alone, so F is needed at n_mu frequencies, not
+at n_mu n_phi; the polarisations turn with the frame.
 F is integrated exactly in the carrier by Filon weights
 (`quadrature.radial_filon_weights`, Gauss weights times the carrier on the
 panels where it hardly turns), once per distinct omega, so the radial rule
@@ -29,8 +34,8 @@ angle, so the cos-theta count resolves max(|c3|, |c_perp|) and the phi count
 |c_perp| over the radial range.  Any other pair raises nothing: its F is
 smooth in omega away from 0, and the two-level check guards every entry.
 
-The L1 mass (``scale``) is the Gauss sum of |integrand| on the mesh; it
-separates into a radial and an angular sum when the entry has one pair of
+The L1 mass (``scale``) is the Gauss sum of |integrand| on the mesh, in
+the mesh's own frame whatever frame the value is summed in; it separates into a radial and an angular sum when the entry has one pair of
 waves.
 
 Accumulation runs over angular nodes in a fixed order with fixed block
@@ -178,22 +183,64 @@ def _flat(part: Part, nr: int, na: int) -> Part:
 class _PartPair(NamedTuple):
     """conj(wave of part p) times wave of part q in one entry: carrier
     difference, radial product, and angular product with the polarisation
-    dot and the angular weights."""
+    dot and the angular weights, on the mesh (for the L1 mass); and the
+    carrier and angular product the value sum reads, those of the carrier
+    frame where the pair is summed in it."""
 
     delta: tuple
     radial: np.ndarray
     angular: np.ndarray
+    carrier: tuple
+    summand: np.ndarray
+
+
+def _pole_rotation(pole) -> np.ndarray:
+    """The proper rotation that turns e3 onto the unit vector ``pole`` by the
+    shortest turn; a half turn about e1 when ``pole`` is -e3."""
+    x, y, z = (float(c) for c in pole)
+    across = x * x + y * y
+    if z >= 0.0:
+        s = 1.0 / (1.0 + z)
+    elif across:
+        s = (1.0 - z) / across   # 1 / (1 + z) without the cancellation
+    else:
+        return np.diag([1.0, -1.0, -1.0])
+    return np.array([[1.0 - s * x * x, -s * x * y, x],
+                     [-s * x * y, 1.0 - s * y * y, y],
+                     [-x, -y, z]])
+
+
+def _dot(key_p, key_q, khat) -> np.ndarray:
+    """The polarisation product vec_p . vec_q at ``khat``."""
+    vp, vq = polarisation_vector(key_p, khat), polarisation_vector(key_q, khat)
+    return vp[0] * vq[0] + vp[1] * vq[1] + vp[2] * vq[2]
+
+
+def _carrier_frame(delta, key_p, key_q):
+    """The carrier difference (c0, c) and the polarisations of a pair in the
+    frame whose pole is c: a rotation R with R e3 = c/|c| maps the mesh onto
+    the sphere, and khat -> R khat takes c.khat to |c| mu and each
+    polarisation u to R^T u.  The sphere integral does not change, and the
+    rate c0 + |c| mu takes one value per cos-theta node, not one per angular
+    node."""
+    c0, c = delta
+    rate = math.hypot(*c)
+    turn = _pole_rotation(np.asarray(c) / rate).T
+    keys = [(channel, tuple(float(x) for x in turn @ np.asarray(u))) for channel, u in (key_p, key_q)]
+    return (c0, (0.0, 0.0, rate)), keys
 
 
 def _part_pairs(mesh: _Mesh, khat, parts_i, parts_j, dots) -> list:
     """The `_PartPair` of every wave of leaf i with every wave of leaf j that
-    is not zero on the mesh; ``dots`` caches the polarisation products."""
+    is not zero on the mesh; ``dots`` caches the polarisation products on
+    the mesh.  A pair of waves whose angular factors are both constants, as
+    every local test field's are, is summed in its carrier frame
+    (`_carrier_frame`), whose polarisations are those of that pair alone."""
     pairs = []
     for p in parts_i:
         for q in parts_j:
             if (p.key, q.key) not in dots:
-                vp, vq = polarisation_vector(p.key, khat), polarisation_vector(q.key, khat)
-                dots[p.key, q.key] = vp[0] * vq[0] + vp[1] * vq[1] + vp[2] * vq[2]
+                dots[p.key, q.key] = _dot(p.key, q.key, khat)
             weight = dots[p.key, q.key] * mesh.ang_weight
             radial = None
             for carrier_p, ang_p in p.waves:
@@ -202,8 +249,12 @@ def _part_pairs(mesh: _Mesh, khat, parts_i, parts_j, dots) -> list:
                     if ang.any():
                         if radial is None:
                             radial = np.conjugate(p.radial) * q.radial
-                        pairs.append(_PartPair(carrier_difference(carrier_p, carrier_q),
-                                               radial, ang))
+                        delta = carrier_difference(carrier_p, carrier_q)
+                        carrier, summand = delta, ang
+                        if np.ndim(ang_p) == 0 and np.ndim(ang_q) == 0 and any(delta[1]):
+                            carrier, keys = _carrier_frame(delta, p.key, q.key)
+                            summand = np.conjugate(ang_p) * ang_q * _dot(*keys, khat) * mesh.ang_weight
+                        pairs.append(_PartPair(delta, radial, ang, carrier, summand))
     return pairs
 
 
@@ -222,8 +273,12 @@ def _carrier_sums(mesh: _Mesh, khat, parts, entries):
     """The value and L1 mass of each entry, for `_accumulate`.
 
     Every pair of waves adds sum_a ang(a) F(omega(a)), with F evaluated once
-    per distinct omega; the pairs of all entries that share a carrier
-    difference share its Filon weights.  The L1 mass of an entry with one
+    per distinct omega.  A pair whose angular factors are both constants
+    (every local test field's) is summed in its carrier frame, where omega
+    = c0 + |c| mu takes n_mu values; any other pair on the mesh, with
+    omega = c0 + c.khat.  The pairs of all entries that share a carrier in
+    the frame they are summed in share its Filon weights.  The L1 mass is
+    taken on the mesh either way: that of an entry with one
     pair is a radial sum times an angular sum; any other entry forms its
     integrand in blocks of angular nodes, each carrier difference with its
     phase relative to the entry's first."""
@@ -233,16 +288,16 @@ def _carrier_sums(mesh: _Mesh, khat, parts, entries):
     values = [0.0 + 0.0j for _ in entries]
     l1 = [0.0 for _ in entries]
 
-    by_delta = {}
+    by_carrier = {}
     for e, entry_pairs in enumerate(pairs):
         for pair in entry_pairs:
-            by_delta.setdefault(pair.delta, []).append((e, pair))
-    for delta, group in by_delta.items():
-        omega, inverse = np.unique(carrier_rate(delta, khat), return_inverse=True)
+            by_carrier.setdefault(pair.carrier, []).append((e, pair))
+    for carrier, group in by_carrier.items():
+        omega, inverse = np.unique(carrier_rate(carrier, khat), return_inverse=True)
         radials = np.stack([pair.radial * rho2 for _, pair in group], axis=1)
         sums = _filon_sums(mesh, omega, radials)
         for m, (e, pair) in enumerate(group):
-            values[e] += complex(pair.angular @ sums[inverse, m])
+            values[e] += complex(pair.summand @ sums[inverse, m])
 
     step = max(1, CHUNK_ELEMENTS // (2 * mesh.rho.size))
     for e, entry_pairs in enumerate(pairs):

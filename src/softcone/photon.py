@@ -1,6 +1,6 @@
 """Single-photon kinematics and the wavefunction value type.
 
-Provides the fixed polarisation frame, transverse projection and the
+Provides the transverse projection, the polarisation vectors and the
 `PhotonWaveFunction` value type shared by test-field images and dressing
 profiles; `pairing` computes their scalar product and symplectic form.
 
@@ -22,10 +22,9 @@ Conventions fixed here and relied on everywhere else:
 
 * scalar product antilinear in the FIRST slot,  <f, g> = int d3k conj(f).g;
 * symplectic form sigma(f, g) = Im <f, g>;
-* polarisation frame  eps_plus(khat) = (khat_2, -khat_1, 0)/sqrt(khat_1^2+khat_2^2),
-  eps_minus = khat x eps_plus,  singular on the k3-axis (AxisSingularity);
-* transverse projection is implemented frame-free, P u = u - (khat.u) khat,
-  which agrees with the frame sum off the axis and is regular on it.
+* transverse projection is frame-free, P u = u - (khat.u) khat, which
+  agrees with the sum over a polarisation frame off the k3-axis and is
+  regular on it.
 """
 from __future__ import annotations
 
@@ -34,28 +33,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AxisSingularity, NonIntegrablePairing
+from .errors import NonIntegrablePairing
 from .quadrature import unit_direction
-
-AXIS_TOLERANCE = 1e-12
-
-
-def polarisation(khat):
-    """Polarisation pair (eps_plus, eps_minus) for a unit direction off the axis.
-
-    Raises AxisSingularity within AXIS_TOLERANCE of +-e3; quadrature rules are
-    built so they never place nodes there.
-    """
-    k = np.asarray(khat, dtype=float)
-    perp2 = k[..., 0] ** 2 + k[..., 1] ** 2
-    if np.any(perp2 <= AXIS_TOLERANCE**2):
-        raise AxisSingularity("polarisation frame undefined on the k3-axis")
-    norm = np.sqrt(perp2)
-    eps_plus = np.stack(
-        [k[..., 1] / norm, -k[..., 0] / norm, np.zeros_like(norm)], axis=-1
-    )
-    eps_minus = np.cross(k, eps_plus)
-    return eps_plus, eps_minus
 
 
 def transverse_project(khat, u):

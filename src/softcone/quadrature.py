@@ -14,7 +14,7 @@ metadata, so node generation is reproducible bit-for-bit:
   each panel subdivided uniformly so the local Gauss-Legendre rule keeps at
   least ``nodes_per_wavelength`` nodes per oscillation wavelength;
 * angular: Gauss-Legendre in mu = cos(theta) (all nodes interior, never on the
-  polarisation axis mu = +-1) times a uniform midpoint rule in phi whose first
+  k3-axis mu = +-1) times a uniform midpoint rule in phi whose first
   node is offset away from phi = 0.
 
 The same composite-Gauss pieces serve the radial transforms elsewhere in the
@@ -83,7 +83,7 @@ def panel_gauss(lo: float, hi: float, npanels: int, order: int):
 def spherical_jn(nmax: int, kappa) -> np.ndarray:
     """Spherical Bessel functions j_0 .. j_nmax at each entry of ``kappa``,
     shape ``kappa.shape + (nmax + 1,)``, for |kappa| >= 1 (the fast panels
-    of `_filon_weights`).
+    of `_filon_weights`); raises ValueError for any smaller |kappa|.
 
     |kappa| > nmax runs the recurrence j_(n+1) = (2n+1)/kappa j_n - j_(n-1)
     upward (stable for n < kappa), and the range between runs it downward
@@ -92,6 +92,8 @@ def spherical_jn(nmax: int, kappa) -> np.ndarray:
     j_n(kappa)."""
     k = np.asarray(kappa, dtype=float)
     x = np.abs(k).ravel()
+    if not np.all(x >= 1.0):
+        raise ValueError("spherical_jn needs |kappa| >= 1")
     out = np.empty((x.size, nmax + 1))
     n = np.arange(nmax + 1)
 
@@ -347,8 +349,8 @@ def _radial_panel_columns(spec: QuadratureSpec, r_lo: float, r_hi: float, freq: 
 def angular_mesh(spec: QuadratureSpec, n_mu: int | None = None, n_phi: int | None = None):
     """Sphere product rule: (mu GL nodes/weights, phi nodes/weights).
 
-    GL nodes in mu are strictly interior, so the polarisation-frame axis
-    mu = +-1 is never sampled; phi nodes are midpoint-offset.
+    GL nodes in mu are strictly interior, so the k3-axis mu = +-1 is never
+    sampled; phi nodes are midpoint-offset.
     """
     n_mu = spec.n_cos_theta if n_mu is None else n_mu
     n_phi = spec.n_phi if n_phi is None else n_phi

@@ -397,7 +397,8 @@ def locality(params, quadrature, fields, opts):
         ratio = sigma / res.scale
         ok = relation in ("spacelike", "timelike") and ratio <= tol
         checks.append(_check(f"sigma-vanishes[{name}]", ratio, tol, ok))
-        rows.append({"name": name, "relation": relation, "sigma": sigma, "scale": res.scale})
+        rows.append({"name": name, "relation": relation, "sigma": sigma, "scale": res.scale,
+                     "node_count": res.node_count})
         table.append((name, relation, sigma, res.scale, ratio))
     csvs = {
         "locality.csv": (("name", "relation", "sigma_abs", "scale", "ratio"), table)

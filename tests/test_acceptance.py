@@ -9,7 +9,7 @@ import numpy as np
 
 from softcone import cli, studies, wavecheck
 from softcone.geometry import DoubleCone, Point4
-from softcone.photon import polarisation, transverse_project
+from softcone.photon import transverse_project
 from softcone.profiles import profile_wavefunction, v_hat_T_direct
 from softcone.testfields import (
     BumpProfile,
@@ -20,6 +20,7 @@ from softcone.testfields import (
 from softcone.weyl import WeylElement, adjoint, multiply, phase_distance
 from tests import conftest
 from tests.conftest import make_random_label
+from tests.polarisation_frame import polarisation
 
 SIGMA_GRID = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
 

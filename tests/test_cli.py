@@ -11,6 +11,9 @@ import pytest
 import yaml
 
 from softcone import cli, studies
+from softcone.pairing import build_mesh
+from softcone.quadrature import QuadratureSpec
+from softcone.testfields import photon_wavefunction
 
 MINI_CONFIG = """\
 params:
@@ -193,6 +196,27 @@ def test_limit_T_rows_report_one_node_count_at_every_T(tmp_path):
     assert len(counts) == 5 and counts[0] > 0
     assert counts == [counts[0]] * 5
     header = (tmp_path / "o" / "limit-T.csv").read_text().splitlines()[0]
+    assert "node_count" not in header
+
+
+def test_locality_rows_report_their_node_count(tmp_path):
+    # each row gives the coarse plus fine mesh of its pair: the spacelike
+    # pair has a stationary direction, which raises its angular rule
+    confs = {"spacelike": [[0.0, 0.0, 0.0, 4.0], [0.0, 0.0, 0.0, -4.0]],
+             "timelike": [[5.0, 0.0, 0.0, 0.0], [-5.0, 0.0, 0.0, 0.0]]}
+    text = MINI_CONFIG.split("studies:")[0] + "studies:\n  - name: locality\n    configurations:\n" + "".join(
+        f"      - {{name: {name}, centers: {centers}}}\n" for name, centers in confs.items())
+    assert cli.run(write_config(tmp_path, text), str(tmp_path / "o")) == 0
+    report = json.loads((tmp_path / "o" / "report.json").read_text())
+    (entry,) = report["studies"]
+    q = studies.locality_quadrature(QuadratureSpec(r_max=40.0))
+    counts = {}
+    for row in entry["rows"]:
+        f1, f2 = (photon_wavefunction(f) for f in studies._locality_pair({"centers": confs[row["name"]]}))
+        assert row["node_count"] == sum(build_mesh(level, f1, f2).node_count for level in (q, q.refined()))
+        counts[row["name"]] = row["node_count"]
+    assert counts["spacelike"] > counts["timelike"] > 0
+    header = (tmp_path / "o" / "locality.csv").read_text().splitlines()[0]
     assert "node_count" not in header
 
 

@@ -287,14 +287,85 @@ def test_transverse_stationary_pair_raises_phi_count():
     assert abs(res.value.imag) <= 1e-6 * res.scale
 
 
-def test_transverse_stationary_pair_fails_on_the_spec_phi_count(monkeypatch):
-    # negative control: the same pair with the phi count held at the spec's
+def _spec_phi_count(monkeypatch):
     real = pairing.angular_mesh
     monkeypatch.setattr(pairing, "angular_mesh",
                         lambda spec, n_mu=None, n_phi=None: real(spec, n_mu, spec.n_phi))
+
+
+def _with_array_angulars(wf):
+    """``wf`` with each constant angular factor held as an array over the
+    angular nodes, which `_carrier_sums` sums on the mesh."""
+    evaluate = wf.evaluator
+
+    def evaluator(rho, mu, phi):
+        return tuple(part._replace(waves=tuple((carrier, a * np.ones(np.shape(mu)))
+                                               for carrier, a in part.waves))
+                     for part in evaluate(rho, mu, phi))
+
+    return replace(wf, evaluator=evaluator)
+
+
+def test_transverse_stationary_pair_passes_on_the_spec_phi_count(monkeypatch):
+    # in the frame whose pole is the carrier difference the rate c0 + |c| mu
+    # does not depend on phi, and the polarisation products are of degree 2
+    # in khat, so the spec's phi count gives the raised count's value
+    v, f, q = _transverse_locality_pair()
+    raised = pair(v, f, q)
+    _spec_phi_count(monkeypatch)
+    res = pair(v, f, q)
+    assert res.node_count < raised.node_count / 5
+    assert abs(res.value - raised.value) <= 1e-12 * raised.scale
+
+
+def test_transverse_stationary_pair_fails_on_the_spec_phi_count(monkeypatch):
+    # negative control: the same pair with the phi count held at the spec's,
+    # summed on the mesh, where omega = c.khat turns with phi
+    _spec_phi_count(monkeypatch)
     v, f, q = _transverse_locality_pair()
     with pytest.raises(ToleranceNotMet):
-        pair(v, f, q)
+        pair(_with_array_angulars(v), _with_array_angulars(f), q)
+
+
+@pytest.mark.parametrize("pole", [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (0.6, 0.0, 0.8),
+                                  (-0.48, 0.64, -0.6), (3e-9, -4e-9, -math.sqrt(1.0 - 2.5e-17))],
+                         ids=["up", "down", "tilted", "lower", "near-down"])
+def test_pole_rotation_is_the_proper_shortest_turn(pole):
+    rot = pairing._pole_rotation(pole)
+    assert np.max(np.abs(rot.T @ rot - np.eye(3))) <= 4e-16
+    assert np.linalg.det(rot) == pytest.approx(1.0, abs=1e-15)
+    assert np.max(np.abs(rot[:, 2] - np.array(pole))) <= 1e-16
+    # the shortest turn fixes every vector normal to e3 and the pole
+    axis = np.cross((0.0, 0.0, 1.0), pole)
+    if np.any(axis):
+        assert np.max(np.abs(rot @ axis - axis)) <= 1e-16 * max(1.0, np.linalg.norm(axis))
+    if pole[:2] == (0.0, 0.0):
+        assert np.array_equal(rot, np.eye(3) if pole[2] > 0 else np.diag([1.0, -1.0, -1.0]))
+
+
+def test_weyl_gram_entry_requests_one_filon_row_per_cos_theta_node(quad, monkeypatch):
+    # a pair of test-field waves is summed in its carrier frame, where
+    # omega = c0 + |c| mu takes one value per cos-theta node, not one per
+    # angular node
+    q = studies.weyl_quadrature(quad)
+    rng = np.random.default_rng(3)
+    leaves = [photon_wavefunction(studies._random_label(rng)) for _ in range(3)]
+    entries = [(0, 1), (1, 2), (2, 0)]
+    real = pairing.radial_filon_weights
+    requested = {}
+
+    def spy(spec, r_lo, r_hi, freq, omega):
+        requested[spec] = requested.get(spec, 0) + np.size(omega)
+        return real(spec, r_lo, r_hi, freq, omega)
+
+    monkeypatch.setattr(pairing, "radial_filon_weights", spy)
+    gram(leaves, entries, q)
+    meshes = pairing._meshes(q, leaves, entries)
+    assert set(requested) == {mesh.radial_rule[0] for mesh in meshes}
+    for mesh in meshes:
+        n_mu, n_phi = np.unique(mesh.ang_mu).size, np.unique(mesh.ang_phi).size
+        assert n_phi > 1 and mesh.ang_mu.size == n_mu * n_phi
+        assert requested[mesh.radial_rule[0]] == len(entries) * n_mu
 
 
 def _with_carriers(wf, move):
@@ -542,6 +613,18 @@ def _worst_kernel_gap(quad, leaves, entries, r_bounds):
 def test_kernel_matches_three_component_reduction(quad, case):
     leaves, entries, r_bounds = _kernel_cases()[case]
     assert _worst_kernel_gap(quad, leaves, entries, r_bounds) <= 1e-13
+
+
+def test_kernel_check_fails_with_an_improper_carrier_frame(quad, monkeypatch):
+    # negative control: R diag(-1, 1, 1) also turns e3 onto the carrier
+    # difference, but it reflects, and a reflection flips khat x u against
+    # u - (khat.u) khat, so the electric-magnetic pairs of the two-term
+    # field no longer match the oracle
+    real = pairing._pole_rotation
+    monkeypatch.setattr(pairing, "_pole_rotation",
+                        lambda pole: real(pole) @ np.diag([-1.0, 1.0, 1.0]))
+    leaves, entries, r_bounds = _kernel_cases()["two-term-fields"]
+    assert _worst_kernel_gap(quad, leaves, entries, r_bounds) > 1e-3
 
 
 def test_kernel_check_fails_with_magnetic_taken_for_electric(quad, monkeypatch):

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from softcone.errors import AxisSingularity, NonIntegrablePairing
+from softcone.errors import NonIntegrablePairing
 from softcone.pairing import pair
 from softcone.photon import (
     PhotonWaveFunction,
     check_integrable,
-    polarisation,
     transverse_project,
     zero_wavefunction,
 )
@@ -14,6 +13,7 @@ from softcone.geometry import DoubleCone, Point4
 from softcone.quadrature import QuadratureSpec, unit_direction
 from softcone.testfields import BumpProfile, SeparableTerm, TestFieldPair, photon_wavefunction
 from tests.conftest import make_field
+from tests.polarisation_frame import AxisSingularity, polarisation
 
 
 def random_directions(n, seed=0):

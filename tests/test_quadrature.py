@@ -225,6 +225,14 @@ def test_spherical_jn_matches_scipy():
     assert np.max(np.abs(got - want)[nonzero] / np.abs(want[nonzero])) <= 1e-11
 
 
+@pytest.mark.parametrize("kappa", [0.0, 1e-8, 0.5, -0.5])
+def test_spherical_jn_rejects_arguments_below_its_domain(kappa):
+    # the downward recurrence overflows near 0, so these used to come back
+    # as rows of NaN
+    with pytest.raises(ValueError, match="kappa"):
+        spherical_jn(15, np.array([2.0, kappa, -30.0]))
+
+
 def test_filon_weights_are_gauss_weights_at_zero_frequency():
     for lo, hi, npanels in ((-0.7, 1.3, 1), (1e-3, 2.0, 5)):
         got = filon_gauss(lo, hi, npanels, 16, 0.0)
