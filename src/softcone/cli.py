@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 import yaml
 
-from . import studies
+from . import studies, wavecheck
 from .errors import SoftconeError
 from .geometry import DoubleCone, Point4
 from .profiles import DressingParams
@@ -163,26 +163,31 @@ def _build_field(d: dict) -> TestFieldPair:
     c = [float(v) for v in sup["center"]]
     cone = DoubleCone(Point4(c[0], np.array(c[1:4])), float(sup["radius"]))
     terms = []
-    for td in d["terms"]:
-        terms.append(
-            SeparableTerm(
-                time=BumpProfile(
-                    float(td["time"].get("center", 0.0)),
-                    float(td["time"]["halfwidth"]),
-                    float(td["time"].get("amplitude", 1.0)),
-                ),
-                space=BumpProfile(
-                    0.0,
-                    float(td["space"]["halfwidth"]),
-                    float(td["space"].get("amplitude", 1.0)),
-                ),
-                direction=tuple(td.get("direction", (0.0, 0.0, 1.0))),
-                channel=td["channel"],
-                position=tuple(td.get("position", (0.0, 0.0, 0.0))),
-                amplitude=float(td.get("amplitude", 1.0)),
-            )
-        )
+    for j, td in enumerate(d["terms"]):
+        try:
+            terms.append(_build_term(td))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"terms[{j}]: {exc}") from exc
     return TestFieldPair(tuple(terms), cone)
+
+
+def _build_term(td: dict) -> SeparableTerm:
+    return SeparableTerm(
+        time=BumpProfile(
+            float(td["time"].get("center", 0.0)),
+            float(td["time"]["halfwidth"]),
+            float(td["time"].get("amplitude", 1.0)),
+        ),
+        space=BumpProfile(
+            0.0,
+            float(td["space"]["halfwidth"]),
+            float(td["space"].get("amplitude", 1.0)),
+        ),
+        direction=tuple(td.get("direction", (0.0, 0.0, 1.0))),
+        channel=td["channel"],
+        position=tuple(td.get("position", (0.0, 0.0, 0.0))),
+        amplitude=float(td.get("amplitude", 1.0)),
+    )
 
 
 def _validate_study(where: str, entry: dict, params: DressingParams, fields: dict):
@@ -248,6 +253,17 @@ def _validate_study(where: str, entry: dict, params: DressingParams, fields: dic
                     f"{at}.radius: expected a finite number >= {reach:g} "
                     f"(the reach of the locality fields), got {radius!r}"
                 )
+    elif name == "wave-appendix":
+        for extent, spacing in studies.wave_grids(opts["t_list"], opts["include_halving"]):
+            try:
+                wavecheck.check_grid(extent, spacing)
+            except SoftconeError as exc:
+                raise ConfigError(f"{where}.t_list: {exc}") from exc
+        if opts["bj_field"]:
+            try:
+                wavecheck.magnetic_terms(fields[opts["bj_field"]])
+            except ValueError as exc:
+                raise ConfigError(f"{where}.bj_field: field {opts['bj_field']!r}: {exc}") from exc
     elif name == "huyghens":
         if not opts["T_list"] and not opts["include_v_hat"]:
             raise ConfigError(f"{where}: huyghens with an empty T_list needs include_v_hat")
@@ -272,8 +288,11 @@ class ScenarioConfig:
             self.quadrature = _build_quadrature(raw.get("quadrature", {}))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid parameter block: {exc}") from exc
+        raw_fields = raw.get("fields") or {}
+        if not isinstance(raw_fields, dict):
+            raise ConfigError(f"fields: expected a mapping from field names to fields, got {raw_fields!r}")
         self.fields = {}
-        for name, d in (raw.get("fields") or {}).items():
+        for name, d in raw_fields.items():
             try:
                 self.fields[name] = _build_field(d)
             except (KeyError, TypeError, ValueError, SoftconeError) as exc:

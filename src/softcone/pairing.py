@@ -34,9 +34,10 @@ angle, so the cos-theta count resolves max(|c3|, |c_perp|) and the phi count
 |c_perp| over the radial range.  Any other pair raises nothing: its F is
 smooth in omega away from 0, and the two-level check guards every entry.
 
-The L1 mass (``scale``) is the Gauss sum of |integrand| on the mesh, in
-the mesh's own frame whatever frame the value is summed in; it separates into a radial and an angular sum when the entry has one pair of
-waves.
+The L1 mass (``scale``) is the Gauss sum of |integrand| on the refined
+mesh (the base mesh only checks the value), in the mesh's own frame
+whatever frame the value is summed in; it separates into a radial and an
+angular sum when the entry has one pair of waves.
 
 Accumulation runs over angular nodes in a fixed order with fixed block
 sizes, so results are bit-for-bit reproducible.
@@ -46,7 +47,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -106,6 +107,9 @@ class _Mesh:
     # (spec, r_lo, r_hi, freq) of the radial rule, whose Filon weights
     # integrate the carriers
     radial_rule: tuple
+    # whether `_accumulate` takes the L1 mass on this mesh; the coarse mesh
+    # of a two-level pairing only checks the value
+    reports_mass: bool = True
 
     @property
     def node_count(self) -> int:
@@ -149,15 +153,18 @@ def build_mesh(
 
 def _meshes(q: QuadratureSpec, leaves, entries, r_bounds=None):
     """Coarse and fine mesh for the sum of the row leaves against the sum of
-    the column leaves, which covers the carriers and extents of every entry."""
+    the column leaves, which covers the carriers and extents of every entry.
+    Only the fine mesh reports the L1 mass."""
     rows = functools.reduce(operator.add, [leaves[i] for i in sorted({i for i, _ in entries})])
     cols = functools.reduce(operator.add, [leaves[j] for j in sorted({j for _, j in entries})])
-    return build_mesh(q, rows, cols, r_bounds), build_mesh(q.refined(), rows, cols, r_bounds)
+    coarse = replace(build_mesh(q, rows, cols, r_bounds), reports_mass=False)
+    return coarse, build_mesh(q.refined(), rows, cols, r_bounds)
 
 
 def _accumulate(mesh: _Mesh, leaves, entries):
     """Value and L1 mass of <leaves[i], leaves[j]> for each (i, j) in
-    ``entries`` on one mesh.
+    ``entries`` on one mesh; the masses are None on a mesh that does not
+    report them.
 
     Each leaf is evaluated once per mesh, on the radial nodes against all
     angular nodes, so its radial and angular factors each come once however
@@ -281,12 +288,12 @@ def _carrier_sums(mesh: _Mesh, khat, parts, entries):
     taken on the mesh either way: that of an entry with one
     pair is a radial sum times an angular sum; any other entry forms its
     integrand in blocks of angular nodes, each carrier difference with its
-    phase relative to the entry's first."""
+    phase relative to the entry's first.  A mesh that does not report the
+    mass (``reports_mass``) returns None for it."""
     rho2 = mesh.rho * mesh.rho
     dots = {}
     pairs = [_part_pairs(mesh, khat, parts[i], parts[j], dots) for i, j in entries]
     values = [0.0 + 0.0j for _ in entries]
-    l1 = [0.0 for _ in entries]
 
     by_carrier = {}
     for e, entry_pairs in enumerate(pairs):
@@ -299,6 +306,9 @@ def _carrier_sums(mesh: _Mesh, khat, parts, entries):
         for m, (e, pair) in enumerate(group):
             values[e] += complex(pair.summand @ sums[inverse, m])
 
+    if not mesh.reports_mass:
+        return values, None
+    l1 = [0.0 for _ in entries]
     step = max(1, CHUNK_ELEMENTS // (2 * mesh.rho.size))
     for e, entry_pairs in enumerate(pairs):
         if len(entry_pairs) == 1:
@@ -314,7 +324,9 @@ def _l1_mass(mesh: _Mesh, khat, pairs, step: int) -> float:
     of ``step`` angular nodes.  Each integrand carries its phase relative to
     the first pair's carrier difference: the part that does not depend on
     the direction goes into its radial factor, so pairs that share a
-    difference c form one matrix product and one phase per node."""
+    difference c form one matrix product and one phase per node.  Each block
+    starts from the first class's term, whose phase is 1; every other class
+    differs from it in c."""
     rho = mesh.rho
     ref0, ref = pairs[0].delta
     classes = {}
@@ -334,11 +346,10 @@ def _l1_mass(mesh: _Mesh, khat, pairs, step: int) -> float:
     for start in range(0, nodes.size, step):
         cols = nodes[start:start + step]
         kh = tuple(k[cols] for k in khat)
-        g = np.zeros((rho.size, cols.size), dtype=complex)
-        for shift, radials, angulars in stacks:
+        g = (stacks[0][1] @ stacks[0][2][:, cols]).astype(complex, copy=False)
+        for shift, radials, angulars in stacks[1:]:
             term = radials @ angulars[:, cols]
-            if any(shift[1]):
-                term *= _phases(rho, carrier_rate(shift, kh))
+            term *= _phases(rho, carrier_rate(shift, kh))
             g += term
         total += float(mesh.rho_weight @ np.abs(g).sum(axis=1))
     return total
@@ -357,7 +368,8 @@ def gram(leaves, entries, quadrature: QuadratureSpec | None = None, r_bounds=Non
     One coarse and one fine mesh (`_meshes`) serve every entry, and each leaf
     is evaluated once per mesh however many entries it enters.  Each entry
     passes the two-level check: the levels may disagree by at most the spec
-    tolerances, against the entry's own L1 mass, reported as ``scale``.
+    tolerances, against the entry's own L1 mass on the fine mesh, reported
+    as ``scale``.
     Without ``r_bounds`` every entry must also be integrable at k = 0."""
     q = quadrature if quadrature is not None else QuadratureSpec()
     entries = list(entries)
@@ -442,7 +454,7 @@ def limit_T_study(
     identically up to float addition.  The carriers t_c + u, t_c + u + T and
     T khat.w are integrated exactly, so the radial rule resolves the
     envelopes alone and is the same at every T.
-    ``scale`` is the sum of the three parts' L1 masses."""
+    ``scale`` is the sum of the three parts' L1 masses on the fine mesh."""
     T_values = [float(T) for T in T_list]
     if not T_values or any(T <= 0 for T in T_values):
         raise ValueError("T_list must be nonempty and positive")

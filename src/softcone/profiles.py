@@ -88,6 +88,11 @@ class DressingParams:
             raise ValueError("time shift u must be positive")
         if self.g.center != 0.0:
             raise ValueError("the window profile must be radial (center 0)")
+        # a zero window makes every windowed profile, and its pairing scale, zero
+        if self.g.amplitude == 0.0:
+            raise ValueError("g.amplitude must be nonzero")
+        if not (math.isfinite(self.g_scale) and self.g_scale != 0.0):
+            raise ValueError("g_scale must be finite and nonzero")
 
     @property
     def speed(self) -> float:
@@ -100,15 +105,12 @@ class DressingParams:
 
 @lru_cache(maxsize=32)
 def _window_transform(g: BumpProfile, g_scale: float):
-    """Radial transform of the window bump, rescaled to g~(0) = g_scale."""
+    """Radial transform of the window bump, the factor that rescales it to
+    g~(0) = g_scale, and the truncation radius of the rescaled transform:
+    built once per process for each window."""
     tr = RadialBumpTransform(g)
-    at_zero = float(tr(np.array([0.0]))[0])
-    return tr, g_scale / at_zero
-
-
-def _window_truncation(params: DressingParams) -> float:
-    tr, scale = _window_transform(params.g, params.g_scale)
-    return _truncation_radius([lambda rho: scale * tr(rho)])
+    scale = g_scale / float(tr(np.array([0.0]))[0])
+    return tr, scale, _truncation_radius([lambda rho: scale * tr(rho)])
 
 
 def _angular_parts(params: DressingParams, mu, phi):
@@ -150,8 +152,7 @@ def _dressed_wavefunction(params: DressingParams, kind: str, T) -> PhotonWaveFun
     """``v_hat``, ``v_hat_T`` or one of its remainders ``term2``, ``term3``."""
     sqrt_alpha = math.sqrt(params.alpha)
     u = params.u
-    tr, scale = _window_transform(params.g, params.g_scale)
-    truncation = _window_truncation(params)
+    tr, scale, truncation = _window_transform(params.g, params.g_scale)
     key = ("electric", params.w)
     hat = (-u, (0.0, 0.0, 0.0))
     if kind != "v_hat":
@@ -163,7 +164,7 @@ def _dressed_wavefunction(params: DressingParams, kind: str, T) -> PhotonWaveFun
         _require_positive(rho)
         kw, denom = _angular_parts(params, mu, phi)
         inv_denom = 1.0 / denom
-        g = sqrt_alpha * scale * tr(rho)
+        g = sqrt_alpha * scale * tr.at(rho)
         envelope = g * rho ** -1.5
         parts = []
         if kind != "term2":
@@ -255,7 +256,7 @@ def v_hat_T_direct(params: DressingParams, T: float, k) -> np.ndarray:
         rel_tol=1e-11,
         freq=abs(b),
     )
-    tr, scale = _window_transform(params.g, params.g_scale)
+    tr, scale, _ = _window_transform(params.g, params.g_scale)
     gval = scale * float(tr(np.array([rho]))[0])
     coeff = (
         -math.sqrt(params.alpha)

@@ -319,15 +319,20 @@ def _radial_panels(spec: QuadratureSpec, r_lo: float, r_hi: float, freq: float =
     return panels
 
 
+@lru_cache(maxsize=32)
 def radial_mesh(spec: QuadratureSpec, r_lo: float, r_hi: float, freq: float = 0.0):
     """Graded, oscillation-aware radial nodes and weights on [r_lo, r_hi].
 
     ``freq`` is the maximum |d(phase)/d rho| of the integrand; each geometric
     panel is split uniformly until the Gauss rule on every subpanel sees at
-    least ``nodes_per_wavelength`` nodes per wavelength 2 pi / freq.
+    least ``nodes_per_wavelength`` nodes per wavelength 2 pi / freq.  Each
+    mesh is built once per process; its arrays are shared, so read-only.
     """
     rules = [panel_gauss(a, b, n, spec.gauss_order) for a, b, n in _radial_panels(spec, r_lo, r_hi, freq)]
-    return np.concatenate([x for x, _ in rules]), np.concatenate([w for _, w in rules])
+    mesh = np.concatenate([x for x, _ in rules]), np.concatenate([w for _, w in rules])
+    for a in mesh:
+        a.flags.writeable = False
+    return mesh
 
 
 def radial_filon_weights(spec: QuadratureSpec, r_lo: float, r_hi: float, freq: float,

@@ -87,7 +87,7 @@ STUDY_OPTIONS = {
                                [1.0, 100.0])},
     "weyl-laws": {"n_labels": ((lambda x: isinstance(x, int) and x >= 3,
                                 "an integer >= 3 (associativity takes triples)"), 12),
-                  "seed": (NUMBER, 20240817),
+                  "seed": ((lambda x: isinstance(x, int) and x >= 0, "an integer >= 0"), 20240817),
                   "tolerance": (NUMBER, 1e-10)},
     "locality": {"ratio_tol": (NUMBER, 1e-6),
                  "configurations": ((lambda x: isinstance(x, list), "a list"), [])},
@@ -406,12 +406,29 @@ def locality(params, quadrature, fields, opts):
     return rows, checks, csvs
 
 
+# the initial profiles of the two wave-appendix solutions
+WAVE_PROFILES = (BumpProfile(0.0, 0.5), BumpProfile(0.0, 0.4, 1.3))
+
+
+def wave_grids(t_list, include_halving: bool) -> list:
+    """(extent, spacing) of every cube grid `wave_appendix` samples for
+    these times, so that a config can be checked against
+    `wavecheck.check_grid` before anything is sampled."""
+    t_list = [float(t) for t in t_list]
+    r = max(p.halfwidth for p in WAVE_PROFILES)
+    grids = [wavecheck.mass_grid(WAVE_PROFILES[0].halfwidth, max(t_list, key=abs)),
+             wavecheck.symplectic_grid(r, t_list)]
+    if include_halving:
+        extent, spacing = wavecheck.symplectic_grid(r, (t_list[0], t_list[-1]))
+        grids.append((extent, spacing / 2.0))
+    return grids
+
+
 def wave_appendix(params, quadrature, fields, opts):
     opts = with_defaults("wave-appendix", opts)
     drift_rtol = float(opts["drift_rtol"])
     t_list = [float(t) for t in opts["t_list"]]
-    ws1 = wavecheck.WaveSolution(BumpProfile(0.0, 0.5))
-    ws2 = wavecheck.WaveSolution(BumpProfile(0.0, 0.4, 1.3))
+    ws1, ws2 = (wavecheck.WaveSolution(p) for p in WAVE_PROFILES)
     checks, rows = [], []
 
     sample = np.array([[0.1, 0.0, 0.2], [0.0, 0.3, 0.0], [0.2, 0.2, 0.1]])
@@ -422,7 +439,7 @@ def wave_appendix(params, quadrature, fields, opts):
     ic_deriv = float(np.max(np.abs(deriv - target)))
     checks.append(_check("initial-slope-matches", ic_deriv, 1e-6, ic_deriv <= 1e-6))
 
-    fraction = wavecheck.mass_outside_cone(ws1, max(t_list))
+    fraction = wavecheck.mass_outside_cone(ws1, max(t_list, key=abs))
     checks.append(_check("mass-outside-cone", fraction, 1e-6, fraction <= 1e-6))
 
     drift = wavecheck.symplectic_time_invariance(ws1, ws2, t_list)

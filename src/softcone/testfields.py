@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,6 +40,9 @@ TWO_PI = 2.0 * math.pi
 PHOTON_PREFACTOR = -1j * TWO_PI**2
 ENVELOPE_CUT = 1e-12      # relative envelope level defining truncation radii
 SCAN_RADIUS = 400.0       # upper end of the truncation scan
+# node sets whose values a bump transform keeps: the coarse and the fine
+# radial mesh of a two-level pairing, which the next pairing often reuses
+MEMO_NODE_SETS = 2
 
 
 @dataclass(frozen=True)
@@ -76,7 +80,26 @@ def _bucket_of(rho: np.ndarray) -> float:
     return freq_bucket(float(np.max(np.abs(rho), initial=0.0)))
 
 
-class TimeBumpTransform:
+class _MemoizedTransform:
+    """A bump transform whose `at` memoizes its values per node set in front
+    of ``__call__``, which computes them."""
+
+    def at(self, rho) -> np.ndarray:
+        """``self(rho)``, computed once for each of the last MEMO_NODE_SETS
+        distinct node sets and shared read-only."""
+        rho = np.asarray(rho, dtype=float)
+        key = (rho.shape, rho.tobytes())
+        out = self._memo.pop(key, None)
+        if out is None:
+            out = self(rho)
+            out.flags.writeable = False
+        self._memo[key] = out
+        if len(self._memo) > MEMO_NODE_SETS:
+            del self._memo[next(iter(self._memo))]
+        return out
+
+
+class TimeBumpTransform(_MemoizedTransform):
     """Vectorized evaluator of the centered real transform A0 of a time bump.
 
     For a(t) = bump(center t_c):  a~(w) = e^(-i w t_c) A0(w) with
@@ -88,6 +111,7 @@ class TimeBumpTransform:
     def __init__(self, bump: BumpProfile):
         self.bump = bump
         self._rules = {}
+        self._memo = {}
 
     def _rule(self, bucket: float):
         rule = self._rules.get(bucket)
@@ -104,7 +128,7 @@ class TimeBumpTransform:
         return kernel_matvec(np.cos, rho, *self._rule(_bucket_of(rho)))
 
 
-class RadialBumpTransform:
+class RadialBumpTransform(_MemoizedTransform):
     """Vectorized 3D transform of a radial bump about the origin:
 
         B0(rho) = (2 pi)^(-3/2) (4 pi / rho) int_0^R r b(r) sin(rho r) dr,
@@ -116,6 +140,7 @@ class RadialBumpTransform:
             raise ValueError("radial profiles must be centered at 0")
         self.bump = bump
         self._rules = {}
+        self._memo = {}
 
     def _rule(self, bucket: float):
         rule = self._rules.get(bucket)
@@ -147,6 +172,10 @@ class SeparableTerm:
             raise ValueError("channel must be 'electric' or 'magnetic'")
         if self.space.center != 0.0:
             raise ValueError("spatial profile must be radial (center 0)")
+        for name, value in (("amplitude", self.amplitude), ("time.amplitude", self.time.amplitude),
+                            ("space.amplitude", self.space.amplitude)):
+            if value == 0.0:
+                raise ValueError(f"{name} must be nonzero: the term would be identically zero")
         d = np.asarray(self.direction, dtype=float).reshape(3)
         n = float(np.linalg.norm(d))
         if n == 0.0:
@@ -168,6 +197,8 @@ class TestFieldPair:
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
+        if not self.terms:
+            raise ValueError("terms: a test field needs at least one term")
         c = self.support.center
         for term in self.terms:
             reach = (
@@ -200,13 +231,27 @@ def _truncation_radius(envelopes) -> float:
     return float(rho[idx])
 
 
+@lru_cache(maxsize=64)
+def _term_transforms(terms: tuple):
+    """The time and the radial transform of each term, and the truncation
+    radius of their summed envelopes: built once per process for each tuple
+    of terms, however many pairs or wavefunctions share it."""
+    times = tuple(TimeBumpTransform(t.time) for t in terms)
+    spaces = tuple(RadialBumpTransform(t.space) for t in terms)
+    envelopes = [
+        (lambda rho, tt=tt, st=st, a=t.amplitude: a * np.sqrt(rho) * tt(rho) * st(rho))
+        for tt, st, t in zip(times, spaces, terms)
+    ]
+    return times, spaces, _truncation_radius(envelopes)
+
+
 def photon_wavefunction(pair: TestFieldPair) -> PhotonWaveFunction:
     """Photon image of a test-field pair: transverse, O(|k|^(1/2)) near 0.
     Each term is one part with the carrier (t_c, -x) of its time centre t_c
-    and position x."""
+    and position x.  The transforms are shared by every pair with the same
+    terms (`_term_transforms`), and each evaluates a radial node set once."""
     terms = pair.terms
-    times = [TimeBumpTransform(t.time) for t in terms]
-    spaces = [RadialBumpTransform(t.space) for t in terms]
+    times, spaces, truncation = _term_transforms(terms)
     carriers = [(t.time.center, tuple(-x for x in t.position)) for t in terms]
 
     def evaluator(rho, mu, phi):
@@ -214,19 +259,15 @@ def photon_wavefunction(pair: TestFieldPair) -> PhotonWaveFunction:
         sqrt_rho = np.sqrt(rho)
         return tuple(
             Part((term.channel, term.direction),
-                 PHOTON_PREFACTOR * term.amplitude * sqrt_rho * tt(rho) * st(rho),
+                 PHOTON_PREFACTOR * term.amplitude * sqrt_rho * tt.at(rho) * st.at(rho),
                  ((carrier, 1.0),))
             for term, tt, st, carrier in zip(terms, times, spaces, carriers)
         )
 
-    envelopes = [
-        (lambda rho, tt=tt, st=st, a=t.amplitude: a * np.sqrt(rho) * tt(rho) * st(rho))
-        for tt, st, t in zip(times, spaces, terms)
-    ]
     return PhotonWaveFunction(
         evaluator=evaluator,
         small_k_exponent=0.5,
-        truncation_radius=_truncation_radius(envelopes),
+        truncation_radius=truncation,
         carriers=tuple(dict.fromkeys(carriers)),
         envelope_bandwidth=max(t.time.halfwidth + t.space.halfwidth for t in terms),
         label="local-field",

@@ -44,6 +44,9 @@ TWO_PI = 2.0 * math.pi
 WAVE_PREFACTOR = 4.0 * math.pi / TWO_PI**1.5
 TABLE_REFINE = 4          # radial interpolation table step = grid spacing / this
 FD_TIME_SCALE = 1.0 / 30.0  # Delta t = FD_TIME_SCALE * h^2 in the drift study
+# sorted triples `_radius_classes` may enumerate: about 56 bytes each at its
+# peak, so about 450 MB
+MAX_RADIUS_TRIPLES = 8_000_000
 
 
 @dataclass
@@ -169,6 +172,41 @@ class _RadialTable:
         return out
 
 
+def _triples(squares: int) -> int:
+    """Sorted triples of ``squares`` distinct squared axis values."""
+    return squares * (squares + 1) * (squares + 2) // 6
+
+
+def check_grid(extent: float, spacing: float) -> None:
+    """Raise SoftconeError when `_radius_classes` of the cube grid with this
+    extent and spacing would enumerate more than MAX_RADIUS_TRIPLES sorted
+    triples.  An axis of n points has at least n/2 distinct squares, which
+    refuses an oversized grid before its axis is built."""
+    squares = (int(round(extent / spacing)) + 2) // 2
+    if _triples(squares) <= MAX_RADIUS_TRIPLES:
+        ax = _grid_axis(extent, spacing)
+        # a set, not np.unique: a config check should not page in NumPy's
+        # sorting code (about 0.75 MB of peak memory)
+        squares = len(set((ax * ax).tolist()))
+    if _triples(squares) > MAX_RADIUS_TRIPLES:
+        raise SoftconeError(
+            f"the cube grid of extent {extent:.6g} and spacing {spacing:.6g} has at least "
+            f"{squares} distinct squared axis values; its radius classes would take "
+            f"{_triples(squares)} sorted triples, above the cap of {MAX_RADIUS_TRIPLES}"
+        )
+
+
+def symplectic_grid(radius: float, t_list):
+    """Default (extent, spacing) of `symplectic_time_invariance`: twice the
+    support ``radius`` grown by the largest |t|, at 16 points per radius."""
+    return 4.0 * (radius + max(abs(float(t)) for t in t_list)), radius / 16.0
+
+
+def mass_grid(radius: float, t: float):
+    """Default (extent, spacing) of `mass_outside_cone`."""
+    return 4.0 * (radius + max(abs(float(t)), 1.0)), radius / 16.0
+
+
 def _radius_classes(ax: np.ndarray):
     """Distinct radii of the cube grid ax^3 and how many grid points share each.
 
@@ -208,18 +246,20 @@ def symplectic_time_invariance(
     tying the observable drift to an O(h^4) discretization error so that
     halving h shows clean convergence.  Returns the rows, the worst drift
     from S(t0), and the L1 scale of the two products for normalization.
+    Raises SoftconeError before any sampling when the grid does not cover
+    the grown supports or exceeds `check_grid`'s cap.
     """
     t_values = [float(t) for t in t_list]
     r = max(ws1.support_radius, ws2.support_radius)
     reach = max(abs(t) for t in t_values)
-    if extent is None:
-        extent = 4.0 * (r + max(t_values))
-    if spacing is None:
-        spacing = r / 16.0
+    default_extent, default_spacing = symplectic_grid(r, t_values)
+    extent = default_extent if extent is None else extent
+    spacing = default_spacing if spacing is None else spacing
     _check_resolution(ws1, spacing)
     _check_resolution(ws2, spacing)
     if extent < 2.0 * (r + reach):
         raise SoftconeError("grid extent does not cover the grown supports")
+    check_grid(extent, spacing)
     dt = FD_TIME_SCALE * spacing * spacing
     rr, count = _radius_classes(_grid_axis(extent, spacing))
     cell = spacing**3
@@ -255,16 +295,28 @@ def mass_outside_cone(
     """Fraction of grid L1 mass outside the ball of radius r + |t|."""
     r = ws.support_radius
     tau = abs(float(t))
-    if extent is None:
-        extent = 4.0 * (r + max(tau, 1.0))
-    if spacing is None:
-        spacing = r / 16.0
+    default_extent, default_spacing = mass_grid(r, t)
+    extent = default_extent if extent is None else extent
+    spacing = default_spacing if spacing is None else spacing
     _check_resolution(ws, spacing)
+    check_grid(extent, spacing)
     rr, count = _radius_classes(_grid_axis(extent, spacing))
     mass = count * np.abs(_RadialTable(ws, (t,), extent, spacing)(rr)[0])
     outside = float(np.sum(mass[rr > r + tau]))
     total = float(np.sum(mass))
     return outside / total if total > 0 else 0.0
+
+
+def magnetic_terms(fields: TestFieldPair) -> list:
+    """The magnetic-channel terms of ``fields``, which `bj_support_check`
+    reads; ValueError unless there is at least one and every one is centred
+    at the origin."""
+    magnetic = [term for term in fields.terms if term.channel == "magnetic"]
+    if not magnetic:
+        raise ValueError("the pair has no magnetic-channel terms")
+    if any(any(c != 0.0 for c in term.position) for term in magnetic):
+        raise ValueError("support check requires origin-centered magnetic terms")
+    return magnetic
 
 
 def bj_support_check(fields: TestFieldPair, probe_radii) -> list:
@@ -275,12 +327,7 @@ def bj_support_check(fields: TestFieldPair, probe_radii) -> list:
     Re(a~(rho)) b~(rho) d, a radial function; its inverse transform must be
     supported in the ball of radius (spatial radius + time reach).  One image,
     on the grid the largest radius needs, serves every radius."""
-    magnetic = [term for term in fields.terms if term.channel == "magnetic"]
-    if not magnetic:
-        raise ValueError("the pair has no magnetic-channel terms")
-    for term in magnetic:
-        if any(c != 0.0 for c in term.position):
-            raise ValueError("support check requires origin-centered magnetic terms")
+    magnetic = magnetic_terms(fields)
     probe_radii = [float(r) for r in probe_radii]
     if not probe_radii or not all(r > 0 for r in probe_radii):
         raise ValueError("probe radii must be given and positive")

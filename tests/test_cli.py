@@ -374,6 +374,18 @@ def test_locality_numbers_checked_at_parse_time(tmp_path, capsys, conf, key):
     assert not (tmp_path / "o").exists()
 
 
+# a magnetic field off the origin, which wave-appendix's bj_field cannot take
+OFFSET_FIELD = """\
+  offset:
+    support: {center: [0.0, 0.0, 0.0, 0.0], radius: 1.0}
+    terms:
+      - channel: magnetic
+        time: {center: 0.0, halfwidth: 0.2}
+        space: {halfwidth: 0.2}
+        position: [0.0, 0.0, 0.3]
+"""
+
+
 @pytest.mark.parametrize(
     "study, key",
     [
@@ -389,13 +401,24 @@ def test_locality_numbers_checked_at_parse_time(tmp_path, capsys, conf, key):
         ("  - name: ir-divergence\n    speeds: [0.1, 0.95]\n", "speeds[1]"),
         ("  - name: superselection-slope\n    pairs: [[[0.0, 0.0, 0.3], [0.0, 0.7, 0.7]]]\n",
          "pairs[0]"),
+        # 3.64 PiB of radius classes at the parent; refused before any grid
+        ("  - name: wave-appendix\n    t_list: [0.0, 1.0e6]\n", "t_list"),
+        ("  - name: wave-appendix\n    t_list: [0.0, 10.0]\n", "t_list"),
+        ("  - name: wave-appendix\n    t_list: [0.0, 2.5]\n    include_halving: true\n", "t_list"),
+        ("  - name: weyl-laws\n    seed: -5\n", "seed"),
+        ("  - name: weyl-laws\n    seed: 1.5\n", "seed"),
+        ("  - name: wave-appendix\n    bj_field: probe\n", "bj_field"),
+        ("  - name: wave-appendix\n    bj_field: offset\n", "bj_field"),
     ],
     ids=["null-T_list", "word-in-sigma_grid", "one-decay-time", "short-velocity", "scalar-t_list",
          "empty-t_list", "one-time-t_list", "one-distinct-time-t_list", "n_labels-as-string",
-         "speed-above-v_max", "pair-above-v_max"],
+         "speed-above-v_max", "pair-above-v_max", "t_list-of-a-million", "t_list-of-ten",
+         "halving-t_list-of-2.5", "negative-seed", "fractional-seed", "bj_field-without-magnetic-term",
+         "bj_field-off-origin"],
 )
 def test_malformed_list_option_rejected(tmp_path, capsys, study, key):
-    text = MINI_CONFIG.split("studies:")[0] + "studies:\n  - name: difference-norm\n" + study
+    head = MINI_CONFIG.split("studies:")[0].replace("fields:\n", "fields:\n" + OFFSET_FIELD)
+    text = head + "studies:\n  - name: difference-norm\n" + study
     rc = cli.run(write_config(tmp_path, text), str(tmp_path / "o"))
     assert rc == 2
     assert f"studies[1].{key}:" in capsys.readouterr().err
@@ -445,9 +468,11 @@ def test_sigma_at_or_above_kappa_rejected(tmp_path, capsys, study, key):
         ("quadrature:\n  oscillation_aware: false\n", "quadrature.oscillation_aware:"),
         ("quadrature:\n  n_phy: 8\n", "quadrature.n_phy: unknown key; it takes r_min,"),
         ("params:\n  kapa: 1.0\n", "params.kapa: unknown key; it takes alpha,"),
+        ("params:\n  g_scale: 0\n", "g_scale must be finite and nonzero"),
+        ("params:\n  g: {halfwidth: 1.0, amplitude: 0.0}\n", "g.amplitude must be nonzero"),
     ],
     ids=["g-without-halfwidth", "fractional-n_phi", "oscillation-aware-off",
-         "unknown-quadrature-key", "unknown-params-key"],
+         "unknown-quadrature-key", "unknown-params-key", "zero-g_scale", "zero-window-amplitude"],
 )
 def test_malformed_parameter_block_rejected(tmp_path, capsys, block, where):
     # a missing key, a count that is not an integer, the removed Gauss-only
@@ -491,3 +516,39 @@ def test_undefined_field_rejected(tmp_path, capsys, fields, study, key):
     assert rc == 2
     assert f"studies[1].{key}: no field named" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "fields, where",
+    [
+        ("fields:\n  - probe\n", "fields: expected a mapping"),
+        ("fields:\n  probe:\n    support: {center: [5.0, 0.0, 0.0, 0.0], radius: 1.0}\n"
+         "    terms: []\n", "invalid field 'probe': terms: a test field needs at least one term"),
+        ("fields:\n  probe:\n    support: {center: [5.0, 0.0, 0.0, 0.0], radius: 1.0}\n"
+         "    terms:\n      - {channel: electric, time: {center: 5.0, halfwidth: 0.5},\n"
+         "         space: {halfwidth: 0.5}, amplitude: 0}\n",
+         "invalid field 'probe': terms[0]: amplitude must be nonzero"),
+        ("fields:\n  probe:\n    support: {center: [5.0, 0.0, 0.0, 0.0], radius: 1.0}\n"
+         "    terms:\n      - {channel: electric, time: {center: 5.0, halfwidth: 0.5},\n"
+         "         space: {halfwidth: 0.5, amplitude: 0.0}}\n",
+         "invalid field 'probe': terms[0]: space.amplitude must be nonzero"),
+    ],
+    ids=["fields-as-list", "no-terms", "zero-term-amplitude", "zero-space-amplitude"],
+)
+def test_malformed_field_rejected(tmp_path, capsys, fields, where):
+    # each of these ended in a traceback, or in a study error on a zero
+    # pairing scale, before it was refused here
+    text = fields + "studies:\n  - name: huyghens\n    T_list: [1.0]\n"
+    rc = cli.run(write_config(tmp_path, text), str(tmp_path / "o"))
+    assert rc == 2
+    assert where in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("t_list, halving", [([0.0, 1.0, 2.0], False), ([0.0, 0.8], False),
+                                              ([0.0, 2.0], True), ([0.0, -1.0], False)])
+def test_wave_grids_of_accepted_time_lists_fit_the_cap(t_list, halving):
+    # the bundled times, perfbench's wave-grid times, the halving grid the
+    # acceptance test samples, and a negative time
+    for extent, spacing in studies.wave_grids(t_list, halving):
+        cli.wavecheck.check_grid(extent, spacing)

@@ -635,3 +635,44 @@ def test_kernel_check_fails_with_magnetic_taken_for_electric(quad, monkeypatch):
                         lambda key, khat: real(("electric", key[1]), khat))
     leaves, entries, r_bounds = _kernel_cases()["profile-vs-fields"]
     assert _worst_kernel_gap(quad, leaves, entries, r_bounds) > 1e-3
+
+
+def _mass_meshes(monkeypatch):
+    """(fine meshes of every two-level pairing, meshes `_l1_mass` ran on)."""
+    fine, massed = [], []
+    real_meshes, real_mass = pairing._meshes, pairing._l1_mass
+
+    def meshes(*args, **kwargs):
+        out = real_meshes(*args, **kwargs)
+        fine.append(out[1])
+        return out
+
+    def mass(mesh, *args):
+        massed.append(mesh)
+        return real_mass(mesh, *args)
+
+    monkeypatch.setattr(pairing, "_meshes", meshes)
+    monkeypatch.setattr(pairing, "_l1_mass", mass)
+    return fine, massed
+
+
+def test_gram_and_limit_T_take_the_mass_on_the_fine_mesh_only(params, quad, forward_probe,
+                                                               monkeypatch):
+    # the coarse level only checks the value; scale is the fine mesh's mass
+    fine, massed = _mass_meshes(monkeypatch)
+    f = photon_wavefunction(forward_probe)
+    res = pair(profile_wavefunction(params, "v_hat_T", 10.0), f, quad)
+    rows = limit_T_study(params, forward_probe, [1.0, 10.0], quad)
+    assert len(fine) == 3 and massed
+    assert all(any(m is g for g in fine) for m in massed)
+    # one pass for the v_hat_T entry and one for each row's term2 entry, the
+    # entries with more than one pair of waves; the parent took six
+    assert len(massed) == 1 + 2
+    monkeypatch.undo()
+    leaves = [profile_wavefunction(params, "v_hat_T", 10.0), f]
+    coarse, refined = pairing._meshes(quad, leaves, [(0, 1)])
+    assert not coarse.reports_mass and refined.reports_mass
+    assert pairing._accumulate(coarse, leaves, [(0, 1)])[1] is None
+    _, (scale,) = pairing._accumulate(refined, leaves, [(0, 1)])
+    assert scale == res.scale
+    assert rows[1]["scale"] > 0.0

@@ -316,3 +316,16 @@ def test_filon_check_fails_without_panel_phase():
     # negative control: the same weights without e^(i omega m) on a panel
     # whose midpoint m is not 0
     assert _worst_monomial_error(-0.5, 1.5, drop_panel_phase=True) > 1e-3
+
+
+def test_radial_mesh_is_built_once_and_read_only():
+    q = QuadratureSpec(panels_per_decade=3)
+    rho, w = radial_mesh(q, 1e-7, 7.3, 2.0)
+    again = radial_mesh(q, 1e-7, 7.3, 2.0)
+    assert again[0] is rho and again[1] is w
+    fresh = radial_mesh.__wrapped__(q, 1e-7, 7.3, 2.0)
+    for cached, built in zip((rho, w), fresh):
+        assert np.array_equal(cached, built)
+        assert not cached.flags.writeable
+        with pytest.raises(ValueError):
+            cached[0] = 1.0

@@ -64,3 +64,16 @@ def test_repeated_sigma_repeats_its_shell(params, quad):
         rows = [row[1:] for row in table if row[0] == variant]
         assert [s for s, _, _ in rows] == [1e-2, 1e-4, 1e-4]
         assert rows[2] == rows[1]
+
+
+def test_wave_appendix_runs_on_a_negative_time(params, quad):
+    # a negative time is a valid sample time: the grid is sized from max |t|,
+    # and the mass outside the cone is taken at the time of largest |t|
+    rows, checks, _ = studies.wave_appendix(params, quad, {}, {"t_list": [0.0, -1.0]})
+    assert [c["name"] for c in checks] == ["initial-value-zero", "initial-slope-matches",
+                                           "mass-outside-cone", "symplectic-drift"]
+    assert all(c["passed"] for c in checks)
+    by_name = {c["name"]: c["value"] for c in checks}
+    _, forward, _ = studies.wave_appendix(params, quad, {}, {"t_list": [0.0, 1.0]})
+    assert by_name["mass-outside-cone"] == {c["name"]: c["value"] for c in forward}["mass-outside-cone"]
+    assert by_name["mass-outside-cone"] > 0.0

@@ -6,8 +6,10 @@ import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from softcone import profiles, quadrature, testfields
 from softcone.errors import SoftconeError
 from softcone.geometry import DoubleCone, Point4
+from softcone.profiles import DressingParams, profile_wavefunction
 from softcone.testfields import (
     BumpProfile,
     RadialBumpTransform,
@@ -199,3 +201,67 @@ def test_photon_linear_structure():
     np.testing.assert_allclose(f.scaled(-2j)(k), -2j * f(k), atol=1e-15)
     combo = (f + g).small_k_exponent
     assert combo == min(f.small_k_exponent, g.small_k_exponent)
+
+
+# ------------------------------------------------- once-per-process set-up
+
+def test_truncation_scan_runs_once_per_field_and_window(monkeypatch):
+    # halfwidths no other test uses, so no cache holds them yet
+    real, scans = testfields._truncation_radius, []
+
+    def spy(envelopes):
+        scans.append(len(envelopes))
+        return real(envelopes)
+
+    monkeypatch.setattr(testfields, "_truncation_radius", spy)
+    monkeypatch.setattr(profiles, "_truncation_radius", spy)
+    field = make_field(5.0, (0.0, 0.0, 0.0), halfwidth=0.37, radius=1.0)
+    wider = TestFieldPair(field.terms, DoubleCone(Point4(5.0, np.zeros(3)), 1.2))
+    fields = [photon_wavefunction(f) for f in (field, wider, field)]
+    assert len(scans) == 1
+    assert len({f.truncation_radius for f in fields}) == 1
+    params = DressingParams(g=BumpProfile(0.0, 0.93))
+    profile_wavefunction(params, "v_hat")
+    for T in (1.0, 10.0, 100.0):
+        for kind in ("v_hat_T", "term2", "term3"):
+            assert profile_wavefunction(params, kind, T).truncation_radius == \
+                profile_wavefunction(params, "v_hat").truncation_radius
+    assert len(scans) == 2
+
+
+def test_transform_evaluates_a_repeated_node_set_once(monkeypatch):
+    # the photon image and the window evaluate their transforms on each
+    # radial mesh once, with the values a fresh transform computes
+    calls = []
+    for module in (quadrature, testfields):
+        monkeypatch.setattr(module, "kernel_matvec",
+                            lambda *a, real=module.kernel_matvec: calls.append(1) or real(*a))
+    field = make_field(5.0, (0.0, 0.0, 0.0), halfwidth=0.41, radius=1.0)
+    wf = photon_wavefunction(field)
+    window = profile_wavefunction(DressingParams(g=BumpProfile(0.0, 0.87)), "v_hat")
+    rho = np.linspace(1e-3, 9.0, 301)[:, None]
+    mu, phi = np.array([[0.3]]), np.array([[0.1]])
+    calls.clear()
+    first = wf.evaluator(rho, mu, phi)[0].radial
+    hat = window.evaluator(rho, mu, phi)[0].radial
+    assert len(calls) == 3      # the time, space and window transforms
+    again = wf.evaluator(rho, mu, phi)[0].radial
+    hat_again = window.evaluator(rho, mu, phi)[0].radial
+    assert len(calls) == 3
+    assert np.array_equal(first, again) and np.array_equal(hat, hat_again)
+
+    term = field.terms[0]
+    times, spaces, _ = testfields._term_transforms(field.terms)
+    for memo, fresh in ((times[0], TimeBumpTransform(term.time)),
+                        (spaces[0], RadialBumpTransform(term.space))):
+        values = memo.at(rho)
+        assert np.array_equal(values, fresh(rho))
+        assert not values.flags.writeable
+    # the oldest node set is dropped past MEMO_NODE_SETS
+    tt = TimeBumpTransform(term.time)
+    sets = [rho + k for k in range(testfields.MEMO_NODE_SETS + 1)]
+    calls.clear()
+    for s in sets + sets[-1:]:
+        tt.at(s)
+    tt.at(sets[0])
+    assert len(calls) == len(sets) + 1

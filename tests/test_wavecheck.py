@@ -9,12 +9,14 @@ from softcone.pairing import pair
 from softcone.profiles import profile_wavefunction
 from softcone.quadrature import QuadratureSpec
 from softcone.testfields import BumpProfile, SeparableTerm, TestFieldPair, photon_wavefunction
+from softcone import wavecheck
 from softcone.wavecheck import (
     WaveSolution,
     _RadialTable,
     _grid_axis,
     _radius_classes,
     bj_support_check,
+    check_grid,
     mass_outside_cone,
     sample_grid,
     symplectic_time_invariance,
@@ -108,6 +110,48 @@ def test_symplectic_extent_guard(solution):
     other = WaveSolution(BumpProfile(0.0, 0.4))
     with pytest.raises(SoftconeError):
         symplectic_time_invariance(solution, other, (0.0, 3.0), extent=4.0)
+
+
+@pytest.mark.parametrize("t", [10.0, 1.0e6], ids=["ten", "a-million"])
+def test_oversized_grids_are_refused_before_sampling(solution, t, monkeypatch):
+    # t = 1e6 asked NumPy for 3.64 PiB of radius classes, t = 10 for about
+    # 3 GB; both must be refused before a radius class or a table is built
+    def never(*args, **kwargs):
+        raise AssertionError("a grid was built")
+
+    monkeypatch.setattr(wavecheck, "_radius_classes", never)
+    monkeypatch.setattr(wavecheck, "_RadialTable", never)
+    other = WaveSolution(BumpProfile(0.0, 0.4, 1.3))
+    with pytest.raises(SoftconeError, match="above the cap"):
+        symplectic_time_invariance(solution, other, (0.0, t))
+    with pytest.raises(SoftconeError, match="above the cap"):
+        mass_outside_cone(solution, t)
+
+
+def test_check_grid_counts_the_distinct_squares_of_a_lopsided_axis():
+    # extent 5.2 at spacing 1/32 is not a whole number of steps, so no two
+    # axis values share a square: 167 squares, against 84 on a symmetric axis
+    ax = _grid_axis(5.2, 1.0 / 32.0)
+    assert np.unique(ax * ax).size == ax.size == 167
+    check_grid(5.2, 1.0 / 32.0)
+    # the largest symmetric axis under the cap passes, the next step fails
+    # (at most one triple more would cross it)
+    squares = max(m for m in range(1, 400) if m * (m + 1) * (m + 2) // 6 <= wavecheck.MAX_RADIUS_TRIPLES)
+    check_grid(2.0 * (squares - 1), 1.0)
+    with pytest.raises(SoftconeError):
+        check_grid(2.0 * squares, 1.0)
+
+
+def test_symplectic_grid_grows_with_negative_times(solution):
+    # the grid is sized from max |t|: sizing it from max t refused [0, -1]
+    # for not covering the grown supports
+    other = WaveSolution(BumpProfile(0.0, 0.4, 1.3))
+    back = symplectic_time_invariance(solution, other, (0.0, -1.0))
+    forth = symplectic_time_invariance(solution, other, (0.0, 1.0))
+    assert back["extent"] == forth["extent"] == 6.0
+    # g(-t) = -g(t) and its time derivative is even, so S is odd in t
+    assert back["rows"][1][1] == pytest.approx(-forth["rows"][1][1], rel=1e-12)
+    assert back["relative_drift"] <= 1e-6
 
 
 def test_batched_table_rows_equal_per_time_values(solution):
