@@ -139,9 +139,7 @@ def _build_params(d: dict) -> DressingParams:
     _known_keys("params", kw, DressingParams)
     g = kw.pop("g", None)
     if g is not None:
-        kw["g"] = BumpProfile(
-            0.0, float(g["halfwidth"]), float(g.get("amplitude", 1.0))
-        )
+        kw["g"] = _build_bump("g", g)
     if "w" in kw:
         kw["w"] = tuple(float(c) for c in kw["w"])
     return DressingParams(**kw)
@@ -171,18 +169,18 @@ def _build_field(d: dict) -> TestFieldPair:
     return TestFieldPair(tuple(terms), cone)
 
 
+def _build_bump(key: str, d) -> BumpProfile:
+    """The bump of the mapping ``d``: a term's time or space, or params.g."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{key}: expected a mapping with 'halfwidth', got {d!r}")
+    return BumpProfile(float(d.get("center", 0.0)), float(d["halfwidth"]),
+                       float(d.get("amplitude", 1.0)))
+
+
 def _build_term(td: dict) -> SeparableTerm:
     return SeparableTerm(
-        time=BumpProfile(
-            float(td["time"].get("center", 0.0)),
-            float(td["time"]["halfwidth"]),
-            float(td["time"].get("amplitude", 1.0)),
-        ),
-        space=BumpProfile(
-            0.0,
-            float(td["space"]["halfwidth"]),
-            float(td["space"].get("amplitude", 1.0)),
-        ),
+        time=_build_bump("time", td["time"]),
+        space=_build_bump("space", td["space"]),
         direction=tuple(td.get("direction", (0.0, 0.0, 1.0))),
         channel=td["channel"],
         position=tuple(td.get("position", (0.0, 0.0, 0.0))),
@@ -241,6 +239,8 @@ def _validate_study(where: str, entry: dict, params: DressingParams, fields: dic
             at = f"{where}.configurations[{j}]"
             if not isinstance(conf, dict):
                 raise ConfigError(f"{at}: expected a mapping with 'centers', got {conf!r}")
+            if not isinstance(conf.get("name", ""), str):
+                raise ConfigError(f"{at}.name: expected a string, got {conf['name']!r}")
             centers = conf.get("centers")
             if not (isinstance(centers, list) and len(centers) == 2
                     and all(studies._is_numbers(c, (4,)) for c in centers)):
@@ -248,7 +248,7 @@ def _validate_study(where: str, entry: dict, params: DressingParams, fields: dic
                     f"{at}.centers: expected two points [t, x, y, z] of numbers, got {centers!r}"
                 )
             radius = conf.get("radius", reach)
-            if not (studies._is_number(radius) and reach <= float(radius) < np.inf):
+            if not (studies._is_number(radius) and reach <= float(radius)):
                 raise ConfigError(
                     f"{at}.radius: expected a finite number >= {reach:g} "
                     f"(the reach of the locality fields), got {radius!r}"
@@ -298,6 +298,8 @@ class ScenarioConfig:
             except (KeyError, TypeError, ValueError, SoftconeError) as exc:
                 raise ConfigError(f"invalid field {name!r}: {exc}") from exc
         self.output_dir = raw.get("output_dir", "softcone-out")
+        if not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir: expected a path, got {self.output_dir!r}")
         self.studies = []
         for idx, entry in enumerate(raw.get("studies") or []):
             where = f"studies[{idx}]"

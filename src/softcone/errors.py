@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `require_finite`."""
+import math
+import numbers
+
+
+def require_finite(obj, *names):
+    """Raise ValueError naming the first of ``names`` not a finite number on ``obj``."""
+    for name in names:
+        value = getattr(obj, name)
+        if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 class SoftconeError(Exception):

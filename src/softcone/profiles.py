@@ -37,7 +37,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import PointSingularity
+from .errors import PointSingularity, require_finite
 from .photon import NO_CARRIER, Part, PhotonWaveFunction, transverse_project
 from .quadrature import gauss_rule, integrate_1d, unit_direction
 from .testfields import (
@@ -74,6 +74,9 @@ class DressingParams:
         object.__setattr__(
             self, "w", tuple(float(c) for c in np.asarray(self.w, dtype=float).reshape(3))
         )
+        require_finite(self, "alpha", "kappa", "sigma", "v_max", "u", "g_scale")
+        if not all(map(math.isfinite, self.w)):
+            raise ValueError(f"w must be finite, got {self.w}")
         if not (self.alpha > 0):
             raise ValueError("alpha must be positive")
         if not (self.kappa > 0):
@@ -91,7 +94,7 @@ class DressingParams:
         # a zero window makes every windowed profile, and its pairing scale, zero
         if self.g.amplitude == 0.0:
             raise ValueError("g.amplitude must be nonzero")
-        if not (math.isfinite(self.g_scale) and self.g_scale != 0.0):
+        if self.g_scale == 0.0:
             raise ValueError("g_scale must be finite and nonzero")
 
     @property

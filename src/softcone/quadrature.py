@@ -44,7 +44,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ToleranceNotMet
+from .errors import ToleranceNotMet, require_finite
 
 MAX_RADIAL_NODES = 2_000_000
 MAX_ANGULAR_NODES = 4096
@@ -264,6 +264,10 @@ class QuadratureSpec:
     rel_tol: float = 1e-6
 
     def __post_init__(self):
+        require_finite(self, "r_min", "r_max", "phi_offset", "nodes_per_wavelength",
+                       "abs_tol", "rel_tol")
+        if self.abs_tol < 0 or self.rel_tol < 0 or self.abs_tol == self.rel_tol == 0:
+            raise ValueError("abs_tol and rel_tol must be nonnegative, and not both 0")
         if not (0 < self.r_min < self.r_max):
             raise ValueError("need 0 < r_min < r_max")
         counts = (self.panels_per_decade, self.gauss_order, self.n_cos_theta, self.n_phi)

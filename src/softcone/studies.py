@@ -26,10 +26,9 @@ from .testfields import BumpProfile, SeparableTerm, TestFieldPair
 
 def _is_number(x) -> bool:
     try:
-        float(x)
-    except (TypeError, ValueError):
+        return math.isfinite(float(x))
+    except (TypeError, ValueError, OverflowError):
         return False
-    return True
 
 
 def _is_numbers(x, lengths=None) -> bool:
@@ -45,12 +44,12 @@ def _is_velocity_pairs(x) -> bool:
 
 FLAG = (lambda x: True, "")
 NAME = (lambda x: x is None or isinstance(x, str), "a field name")
-NUMBER = (_is_number, "a number")
-NUMBERS = (_is_numbers, "a list of numbers")
-SOME_NUMBERS = (lambda x: _is_numbers(x) and len(x) > 0, "a non-empty list of numbers")
+NUMBER = (_is_number, "a finite number")
+NUMBERS = (_is_numbers, "a list of finite numbers")
+SOME_NUMBERS = (lambda x: _is_numbers(x) and len(x) > 0, "a non-empty list of finite numbers")
 # a slope or a spread through one point fits nothing, and a shell needs sigma > 0
 SIGMAS = (lambda x: _is_numbers(x) and len({float(v) for v in x}) >= 2
-          and all(0.0 < float(v) < math.inf for v in x),
+          and all(float(v) > 0.0 for v in x),
           "a list of at least two distinct positive numbers")
 SIGMA_GRID = [1e-2, 1e-3, 1e-4, 1e-5, 1e-6]
 # a drift from one time to itself reads 0 whatever the program does

@@ -26,7 +26,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import SoftconeError
+from .errors import SoftconeError, require_finite
 from .geometry import DoubleCone
 from .photon import Part, PhotonWaveFunction
 from .quadrature import (
@@ -59,6 +59,7 @@ class BumpProfile:
     amplitude: float = 1.0
 
     def __post_init__(self):
+        require_finite(self, "center", "halfwidth", "amplitude")
         if not (self.halfwidth > 0):
             raise ValueError("bump halfwidth must be positive")
 
@@ -174,8 +175,8 @@ class SeparableTerm:
             raise ValueError("spatial profile must be radial (center 0)")
         for name, value in (("amplitude", self.amplitude), ("time.amplitude", self.time.amplitude),
                             ("space.amplitude", self.space.amplitude)):
-            if value == 0.0:
-                raise ValueError(f"{name} must be nonzero: the term would be identically zero")
+            if not (value != 0.0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be nonzero and finite, got {value!r}")
         d = np.asarray(self.direction, dtype=float).reshape(3)
         n = float(np.linalg.norm(d))
         if n == 0.0:

@@ -10,9 +10,9 @@ bump f_i, evaluated through its spectral representation
 studies sample solutions on uniform cubes through a dense radial table with
 4-point cubic interpolation; one kernel pass per solution fills the table
 rows of every time a study needs, and the table and quadrature rules are
-regenerated deterministically from bucketed frequency demands.  Grid sums of radial
-integrands visit each distinct grid radius once, weighted by the number of
-grid points at that radius.
+regenerated deterministically from bucketed frequency demands.  Every cube grid
+is spacing·(−m … m)³, so grid sums of radial integrands visit each shell of
+integer squared radius i² + j² + k² (in steps) once, weighted by its point count.
 
 The module provides the three numerical witnesses used downstream:
 
@@ -44,9 +44,9 @@ TWO_PI = 2.0 * math.pi
 WAVE_PREFACTOR = 4.0 * math.pi / TWO_PI**1.5
 TABLE_REFINE = 4          # radial interpolation table step = grid spacing / this
 FD_TIME_SCALE = 1.0 / 30.0  # Delta t = FD_TIME_SCALE * h^2 in the drift study
-# sorted triples `_radius_classes` may enumerate: about 56 bytes each at its
-# peak, so about 450 MB
-MAX_RADIUS_TRIPLES = 8_000_000
+# largest m of a cube grid spacing·(−m … m)³; its `_radius_classes` take about
+# 0.18 s and 14 MB of peak memory (measured on a 2-vCPU Intel Xeon)
+MAX_HALF_STEPS = 361
 
 
 @dataclass
@@ -111,7 +111,7 @@ def wave_time_derivative(ws: WaveSolution, t: float, x) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GridField:
-    """A solution sampled on a uniform cube [-extent/2, extent/2]^3."""
+    """A solution sampled on the cube grid spacing·(−m … m)³ of extent 2m·spacing."""
 
     extent: float
     spacing: float
@@ -119,9 +119,9 @@ class GridField:
     timestamp: float
 
 
-def _grid_axis(extent: float, spacing: float) -> np.ndarray:
-    n = int(round(extent / spacing))
-    return -0.5 * extent + spacing * np.arange(n + 1)
+def _half_steps(extent: float, spacing: float) -> int:
+    """m of the cube grid spacing·(−m … m)³ that samples this extent."""
+    return round(extent / (2.0 * spacing))
 
 
 def _check_resolution(ws: WaveSolution, spacing: float):
@@ -133,24 +133,25 @@ def _check_resolution(ws: WaveSolution, spacing: float):
 
 def sample_grid(ws: WaveSolution, t: float, extent: float, spacing: float) -> GridField:
     _check_resolution(ws, spacing)
-    ax = _grid_axis(extent, spacing)
-    if ax.size**3 > 40_000_000:
+    m = _half_steps(extent, spacing)
+    if (2 * m + 1) ** 3 > 40_000_000:
         raise SoftconeError("grid too large to materialize; use the study drivers")
-    table = _RadialTable(ws, (t,), extent, spacing)
+    ax = spacing * np.arange(-m, m + 1)
+    table = _RadialTable(ws, (t,), m * spacing, spacing)
     vals = np.empty((ax.size,) * 3)
     for iz, z in enumerate(ax):
         rr = np.sqrt(ax[:, None] ** 2 + ax[None, :] ** 2 + z * z)
         vals[:, :, iz] = table(rr)[0]
-    return GridField(extent, spacing, vals, float(t))
+    return GridField(2.0 * m * spacing, spacing, vals, float(t))
 
 
 class _RadialTable:
     """Dense radial samples of a solution at several times, one row per time,
-    with cubic 4-point interpolation."""
+    out to the corner of the cube [−half, half]³, with cubic 4-point interpolation."""
 
-    def __init__(self, ws: WaveSolution, times, extent: float, spacing: float):
+    def __init__(self, ws: WaveSolution, times, half: float, spacing: float):
         self.step = spacing / TABLE_REFINE
-        rmax = 0.5 * extent * math.sqrt(3.0) + 4.0 * self.step
+        rmax = half * math.sqrt(3.0) + 4.0 * self.step
         n = int(math.ceil(rmax / self.step)) + 4
         self.rows = ws._radial_columns(times, self.step * np.arange(n)).T.copy()
         self.n = n
@@ -172,28 +173,13 @@ class _RadialTable:
         return out
 
 
-def _triples(squares: int) -> int:
-    """Sorted triples of ``squares`` distinct squared axis values."""
-    return squares * (squares + 1) * (squares + 2) // 6
-
-
 def check_grid(extent: float, spacing: float) -> None:
-    """Raise SoftconeError when `_radius_classes` of the cube grid with this
-    extent and spacing would enumerate more than MAX_RADIUS_TRIPLES sorted
-    triples.  An axis of n points has at least n/2 distinct squares, which
-    refuses an oversized grid before its axis is built."""
-    squares = (int(round(extent / spacing)) + 2) // 2
-    if _triples(squares) <= MAX_RADIUS_TRIPLES:
-        ax = _grid_axis(extent, spacing)
-        # a set, not np.unique: a config check should not page in NumPy's
-        # sorting code (about 0.75 MB of peak memory)
-        squares = len(set((ax * ax).tolist()))
-    if _triples(squares) > MAX_RADIUS_TRIPLES:
-        raise SoftconeError(
-            f"the cube grid of extent {extent:.6g} and spacing {spacing:.6g} has at least "
-            f"{squares} distinct squared axis values; its radius classes would take "
-            f"{_triples(squares)} sorted triples, above the cap of {MAX_RADIUS_TRIPLES}"
-        )
+    """Raise SoftconeError when the cube grid with this extent and spacing
+    reaches more than MAX_HALF_STEPS steps from the origin."""
+    if not (math.isfinite(extent / spacing) and _half_steps(extent, spacing) <= MAX_HALF_STEPS):
+        raise SoftconeError(f"the cube grid of extent {extent:.6g} and spacing {spacing:.6g} "
+                            f"reaches {extent / (2.0 * spacing):.6g} steps from the origin, "
+                            f"above the cap of {MAX_HALF_STEPS}")
 
 
 def symplectic_grid(radius: float, t_list):
@@ -207,30 +193,20 @@ def mass_grid(radius: float, t: float):
     return 4.0 * (radius + max(abs(float(t)), 1.0)), radius / 16.0
 
 
-def _radius_classes(ax: np.ndarray):
-    """Distinct radii of the cube grid ax^3 and how many grid points share each.
-
-    A radial integrand summed over the grid only needs these: the squared axis
-    values are merged first (sign symmetry), then every sorted triple of them
-    is taken once with its count of orderings (permutation symmetry)."""
-    sq, cnt = np.unique(ax * ax, return_counts=True)
-    cnt = cnt.astype(float)
-    r2, mult = [], []
-    for a in range(sq.size):
-        b, c = np.triu_indices(sq.size - a)
-        b += a
-        c += a
-        orderings = np.full(b.shape, 6.0)
-        orderings[(b == a) != (c == b)] = 3.0
-        orderings[(b == a) & (c == b)] = 1.0
-        r2.append(sq[a] + sq[b] + sq[c])
-        mult.append(cnt[a] * cnt[b] * cnt[c] * orderings)
-    r2 = np.concatenate(r2)
-    mult = np.concatenate(mult)
-    order = np.argsort(r2)
-    r2, mult = r2[order], mult[order]
-    first = np.flatnonzero(np.concatenate(([True], r2[1:] != r2[:-1])))
-    return np.sqrt(r2[first]), np.add.reduceat(mult, first)
+def _radius_classes(m: int, spacing: float):
+    """Distinct radii spacing·√n of the cube grid spacing·(−m … m)³, n = i² + j² + k²,
+    and how many grid points share each: the plane i² + j² is counted once over
+    the half-axis (a nonzero index stands for both signs), then shifted by each k²."""
+    i = np.arange(m + 1)
+    squares = i * i
+    signs = np.where(i == 0, 1.0, 2.0)
+    plane = np.bincount(np.add.outer(squares, squares).ravel(),
+                        np.multiply.outer(signs, signs).ravel())
+    count = np.zeros(3 * m * m + 1)
+    for k2, sign in zip(squares, signs):
+        count[k2:k2 + plane.size] += sign * plane
+    n = np.flatnonzero(count)
+    return spacing * np.sqrt(n), count[n]
 
 
 def symplectic_time_invariance(
@@ -246,8 +222,8 @@ def symplectic_time_invariance(
     tying the observable drift to an O(h^4) discretization error so that
     halving h shows clean convergence.  Returns the rows, the worst drift
     from S(t0), and the L1 scale of the two products for normalization.
-    Raises SoftconeError before any sampling when the grid does not cover
-    the grown supports or exceeds `check_grid`'s cap.
+    Raises SoftconeError before any sampling when the grid exceeds `check_grid`'s
+    cap or its half-extent m·spacing does not cover the grown supports.
     """
     t_values = [float(t) for t in t_list]
     r = max(ws1.support_radius, ws2.support_radius)
@@ -257,18 +233,20 @@ def symplectic_time_invariance(
     spacing = default_spacing if spacing is None else spacing
     _check_resolution(ws1, spacing)
     _check_resolution(ws2, spacing)
-    if extent < 2.0 * (r + reach):
-        raise SoftconeError("grid extent does not cover the grown supports")
     check_grid(extent, spacing)
+    m = _half_steps(extent, spacing)
+    half = m * spacing
+    if half < r + reach:
+        raise SoftconeError("grid extent does not cover the grown supports")
     dt = FD_TIME_SCALE * spacing * spacing
-    rr, count = _radius_classes(_grid_axis(extent, spacing))
+    rr, count = _radius_classes(m, spacing)
     cell = spacing**3
     rows = []
     scale = 0.0
     # one table per solution, rows (t - dt, t, t + dt) for each sample time
     times = [t + shift * dt for t in t_values for shift in (-1, 0, 1)]
     va, vb = (
-        _RadialTable(ws, times, extent, spacing)(rr).reshape(len(t_values), 3, rr.size)
+        _RadialTable(ws, times, half, spacing)(rr).reshape(len(t_values), 3, rr.size)
         for ws in (ws1, ws2)
     )
     for t, (am, wa, ap), (bm, wb, bp) in zip(t_values, va, vb):
@@ -285,7 +263,7 @@ def symplectic_time_invariance(
         "scale": scale,
         "relative_drift": drift / scale if scale > 0 else 0.0,
         "spacing": spacing,
-        "extent": extent,
+        "extent": 2.0 * half,
     }
 
 
@@ -300,8 +278,9 @@ def mass_outside_cone(
     spacing = default_spacing if spacing is None else spacing
     _check_resolution(ws, spacing)
     check_grid(extent, spacing)
-    rr, count = _radius_classes(_grid_axis(extent, spacing))
-    mass = count * np.abs(_RadialTable(ws, (t,), extent, spacing)(rr)[0])
+    m = _half_steps(extent, spacing)
+    rr, count = _radius_classes(m, spacing)
+    mass = count * np.abs(_RadialTable(ws, (t,), m * spacing, spacing)(rr)[0])
     outside = float(np.sum(mass[rr > r + tau]))
     total = float(np.sum(mass))
     return outside / total if total > 0 else 0.0

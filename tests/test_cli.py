@@ -11,6 +11,7 @@ import pytest
 import yaml
 
 from softcone import cli, studies
+from softcone.errors import SoftconeError
 from softcone.pairing import build_mesh
 from softcone.quadrature import QuadratureSpec
 from softcone.testfields import photon_wavefunction
@@ -358,15 +359,17 @@ def test_locality_configuration_needs_two_centers(tmp_path, capsys, centers):
         ("centers: [[0.0, 0.0, 0.0, 4.0], [0.0, 0.0, 0.0, -4.0]], radius: 0.5", "radius"),
         ("centers: [[0.0, 0.0, zero, 4.0], [0.0, 0.0, 0.0, -4.0]]", "centers"),
         ("centers: [[0.0, 0.0, 4.0], [0.0, 0.0, 0.0, -4.0]]", "centers"),
+        # a name that is not a string broke the CSV row after every study ran
+        ("name: [1], centers: [[0.0, 0.0, 0.0, 4.0], [0.0, 0.0, 0.0, -4.0]]", "name"),
     ],
-    ids=["null-radius", "radius-below-reach", "word-in-centers", "short-center"],
+    ids=["null-radius", "radius-below-reach", "word-in-centers", "short-center", "name-as-list"],
 )
 def test_locality_numbers_checked_at_parse_time(tmp_path, capsys, conf, key):
     # a null radius or a word in the centers must not reach the study
     text = (
         "studies:\n  - name: locality\n    configurations:\n"
         "      - {name: ok, centers: [[0.0, 0.0, 0.0, 4.0], [0.0, 0.0, 0.0, -4.0]], radius: 0.81}\n"
-        "      - {name: bad, " + conf + "}\n"
+        "      - {" + conf + "}\n"
     )
     rc = cli.run(write_config(tmp_path, text), str(tmp_path / "o"))
     assert rc == 2
@@ -409,12 +412,21 @@ OFFSET_FIELD = """\
         ("  - name: weyl-laws\n    seed: 1.5\n", "seed"),
         ("  - name: wave-appendix\n    bj_field: probe\n", "bj_field"),
         ("  - name: wave-appendix\n    bj_field: offset\n", "bj_field"),
+        # inf and NaN are numbers to float(); each ended in a traceback, a
+        # study error or a check that fails whatever the program does
+        ("  - name: huyghens\n    field: probe\n    T_list: [.inf]\n", "T_list"),
+        ("  - name: limit-T\n    field: probe\n    T_list: [1.0, .inf]\n", "T_list"),
+        ("  - name: wave-appendix\n    t_list: [0.0, .inf]\n", "t_list"),
+        ("  - name: wave-appendix\n    t_list: [0.0, .nan]\n", "t_list"),
+        ("  - name: ir-divergence\n    speeds: [.nan]\n", "speeds"),
+        ("  - name: ir-divergence\n    slope_rtol: .nan\n", "slope_rtol"),
     ],
     ids=["null-T_list", "word-in-sigma_grid", "one-decay-time", "short-velocity", "scalar-t_list",
          "empty-t_list", "one-time-t_list", "one-distinct-time-t_list", "n_labels-as-string",
          "speed-above-v_max", "pair-above-v_max", "t_list-of-a-million", "t_list-of-ten",
          "halving-t_list-of-2.5", "negative-seed", "fractional-seed", "bj_field-without-magnetic-term",
-         "bj_field-off-origin"],
+         "bj_field-off-origin", "infinite-window", "infinite-limit-T-window", "infinite-t_list",
+         "nan-in-t_list", "nan-speed", "nan-slope_rtol"],
 )
 def test_malformed_list_option_rejected(tmp_path, capsys, study, key):
     head = MINI_CONFIG.split("studies:")[0].replace("fields:\n", "fields:\n" + OFFSET_FIELD)
@@ -470,13 +482,28 @@ def test_sigma_at_or_above_kappa_rejected(tmp_path, capsys, study, key):
         ("params:\n  kapa: 1.0\n", "params.kapa: unknown key; it takes alpha,"),
         ("params:\n  g_scale: 0\n", "g_scale must be finite and nonzero"),
         ("params:\n  g: {halfwidth: 1.0, amplitude: 0.0}\n", "g.amplitude must be nonzero"),
+        ("params:\n  kappa: .inf\n", "kappa must be a finite number"),
+        ("params:\n  g: {halfwidth: .inf}\n", "halfwidth must be a finite number"),
+        ("params:\n  alpha: .inf\n", "alpha must be a finite number"),
+        ("params:\n  u: .inf\n", "u must be a finite number"),
+        ("params:\n  w: [0.0, .nan, 0.3]\n", "w must be finite"),
+        ("quadrature:\n  abs_tol: x\n", "abs_tol must be a finite number"),
+        ("quadrature:\n  phi_offset: x\n", "phi_offset must be a finite number"),
+        ("quadrature:\n  rel_tol: -1\n", "rel_tol must be nonnegative"),
+        # a zero tolerance fails every refinement check as a study error
+        ("quadrature:\n  abs_tol: 0\n  rel_tol: 0\n", "not both 0"),
+        ("params:\n  g: {center: 0.5, halfwidth: 1.0}\n", "window profile must be radial"),
     ],
     ids=["g-without-halfwidth", "fractional-n_phi", "oscillation-aware-off",
-         "unknown-quadrature-key", "unknown-params-key", "zero-g_scale", "zero-window-amplitude"],
+         "unknown-quadrature-key", "unknown-params-key", "zero-g_scale", "zero-window-amplitude",
+         "infinite-kappa", "infinite-window-halfwidth", "infinite-alpha", "infinite-u", "nan-in-w",
+         "word-abs_tol", "word-phi_offset", "negative-rel_tol", "zero-tolerances",
+         "window-center"],
 )
 def test_malformed_parameter_block_rejected(tmp_path, capsys, block, where):
     # a missing key, a count that is not an integer, the removed Gauss-only
-    # switch or a misspelt key must not reach the studies as a traceback
+    # switch, a misspelt key, a number that is not finite or a negative
+    # tolerance must not reach the studies as a traceback or a failed check
     text = block + "studies:\n  - name: difference-norm\n"
     rc = cli.run(write_config(tmp_path, text), str(tmp_path / "o"))
     assert rc == 2
@@ -532,8 +559,22 @@ def test_undefined_field_rejected(tmp_path, capsys, fields, study, key):
          "    terms:\n      - {channel: electric, time: {center: 5.0, halfwidth: 0.5},\n"
          "         space: {halfwidth: 0.5, amplitude: 0.0}}\n",
          "invalid field 'probe': terms[0]: space.amplitude must be nonzero"),
+        ("fields:\n  probe:\n    support: {center: [5.0, 0.0, 0.0, 0.0], radius: 1.0}\n"
+         "    terms:\n      - {channel: electric, time: null, space: {halfwidth: 0.5}}\n",
+         "invalid field 'probe': terms[0]: time: expected a mapping"),
+        ("fields:\n  probe:\n    support: {center: [5.0, 0.0, 0.0, 0.0], radius: 1.0}\n"
+         "    terms:\n      - {channel: electric, time: {center: 5.0, halfwidth: 0.5},\n"
+         "         space: {halfwidth: 0.5}, amplitude: .nan}\n",
+         "invalid field 'probe': terms[0]: amplitude must be nonzero and finite"),
+        ("output_dir: 5\n", "output_dir: expected a path"),
+        # a space center was dropped without a word; a term's space is radial
+        ("fields:\n  probe:\n    support: {center: [5.0, 0.0, 0.0, 0.0], radius: 1.0}\n"
+         "    terms:\n      - {channel: electric, time: {center: 5.0, halfwidth: 0.5},\n"
+         "         space: {center: 0.2, halfwidth: 0.5}}\n",
+         "invalid field 'probe': terms[0]: spatial profile must be radial"),
     ],
-    ids=["fields-as-list", "no-terms", "zero-term-amplitude", "zero-space-amplitude"],
+    ids=["fields-as-list", "no-terms", "zero-term-amplitude", "zero-space-amplitude", "null-time",
+         "nan-term-amplitude", "output_dir-not-a-path", "space-center"],
 )
 def test_malformed_field_rejected(tmp_path, capsys, fields, where):
     # each of these ended in a traceback, or in a study error on a zero
@@ -546,9 +587,28 @@ def test_malformed_field_rejected(tmp_path, capsys, fields, where):
 
 
 @pytest.mark.parametrize("t_list, halving", [([0.0, 1.0, 2.0], False), ([0.0, 0.8], False),
-                                              ([0.0, 2.0], True), ([0.0, -1.0], False)])
+                                              ([0.0, 2.0], True), ([0.0, -1.0], False),
+                                              ([0.0, 2.33], False)])
 def test_wave_grids_of_accepted_time_lists_fit_the_cap(t_list, halving):
     # the bundled times, perfbench's wave-grid times, the halving grid the
-    # acceptance test samples, and a negative time
+    # acceptance test samples, a negative time, and a time whose extent is
+    # not a whole number of steps
     for extent, spacing in studies.wave_grids(t_list, halving):
         cli.wavecheck.check_grid(extent, spacing)
+
+
+@pytest.mark.parametrize("halving, threshold", [(False, 5.14), (True, 2.32)])
+def test_accepted_time_lists_are_a_prefix_in_the_largest_time(halving, threshold):
+    # one threshold per mode: every largest |t| up to it fits, none above
+    def fits(t):
+        try:
+            for extent, spacing in studies.wave_grids([0.0, t], halving):
+                cli.wavecheck.check_grid(extent, spacing)
+        except SoftconeError:
+            return False
+        return True
+
+    accepted = [fits(k / 100) for k in range(1, 601)]
+    n = accepted.count(True)
+    assert accepted == [True] * n + [False] * (600 - n)
+    assert n / 100 == threshold

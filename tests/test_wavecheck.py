@@ -11,9 +11,10 @@ from softcone.quadrature import QuadratureSpec
 from softcone.testfields import BumpProfile, SeparableTerm, TestFieldPair, photon_wavefunction
 from softcone import wavecheck
 from softcone.wavecheck import (
+    MAX_HALF_STEPS,
     WaveSolution,
     _RadialTable,
-    _grid_axis,
+    _half_steps,
     _radius_classes,
     bj_support_check,
     check_grid,
@@ -112,6 +113,16 @@ def test_symplectic_extent_guard(solution):
         symplectic_time_invariance(solution, other, (0.0, 3.0), extent=4.0)
 
 
+def test_symplectic_extent_guard_reads_the_sampled_axis(solution):
+    # extent 3.03 covers r + |t| = 1.51 either side, but at spacing 1/32 its
+    # axis rounds to 48 steps, 1.5 from the origin; 3.04 rounds to 49
+    other = WaveSolution(BumpProfile(0.0, 0.4))
+    with pytest.raises(SoftconeError, match="does not cover"):
+        symplectic_time_invariance(solution, other, (0.0, 1.01), extent=3.03)
+    out = symplectic_time_invariance(solution, other, (0.0, 1.01), extent=3.04)
+    assert out["extent"] == 2.0 * 49 / 32
+
+
 @pytest.mark.parametrize("t", [10.0, 1.0e6], ids=["ten", "a-million"])
 def test_oversized_grids_are_refused_before_sampling(solution, t, monkeypatch):
     # t = 1e6 asked NumPy for 3.64 PiB of radius classes, t = 10 for about
@@ -128,18 +139,21 @@ def test_oversized_grids_are_refused_before_sampling(solution, t, monkeypatch):
         mass_outside_cone(solution, t)
 
 
-def test_check_grid_counts_the_distinct_squares_of_a_lopsided_axis():
-    # extent 5.2 at spacing 1/32 is not a whole number of steps, so no two
-    # axis values share a square: 167 squares, against 84 on a symmetric axis
-    ax = _grid_axis(5.2, 1.0 / 32.0)
-    assert np.unique(ax * ax).size == ax.size == 167
+def test_check_grid_rounds_a_fractional_extent_to_a_symmetric_axis():
+    # extent 5.2 at spacing 1/32 is 166.4 steps: the axis is rounded to
+    # 83 steps either side of the origin, so each square but 0 is shared by
+    # two axis values
+    m = _half_steps(5.2, 1.0 / 32.0)
+    ax = np.arange(-m, m + 1) / 32.0
+    assert ax.size == 167 and np.unique(ax * ax).size == 84
     check_grid(5.2, 1.0 / 32.0)
-    # the largest symmetric axis under the cap passes, the next step fails
-    # (at most one triple more would cross it)
-    squares = max(m for m in range(1, 400) if m * (m + 1) * (m + 2) // 6 <= wavecheck.MAX_RADIUS_TRIPLES)
-    check_grid(2.0 * (squares - 1), 1.0)
-    with pytest.raises(SoftconeError):
-        check_grid(2.0 * squares, 1.0)
+    # the largest axis under the cap passes, one step more each side fails;
+    # the cap keeps the boundary of the former one, 8 M sorted triples of
+    # distinct squared axis values
+    assert MAX_HALF_STEPS == max(m for m in range(400) if math.comb(m + 3, 3) <= 8_000_000)
+    check_grid(2.0 * MAX_HALF_STEPS, 1.0)
+    with pytest.raises(SoftconeError, match="above the cap"):
+        check_grid(2.0 * (MAX_HALF_STEPS + 1), 1.0)
 
 
 def test_symplectic_grid_grows_with_negative_times(solution):
@@ -157,7 +171,7 @@ def test_symplectic_grid_grows_with_negative_times(solution):
 def test_batched_table_rows_equal_per_time_values(solution):
     # every time shares the bucket of the batch: 4 < max radius + |t| <= 8
     times = (0.3, 1.2, -0.7, 1.9)
-    table = _RadialTable(solution, times, extent=6.0, spacing=0.5 / 16)
+    table = _RadialTable(solution, times, half=3.0, spacing=0.5 / 16)
     radii = table.step * np.arange(table.n)
     assert 4.0 < radii[-1] + 0.3 and radii[-1] + 1.9 <= 8.0
     for row, t in zip(table.rows, times):
@@ -173,9 +187,9 @@ def _central_difference_gap(ws, times, t, dt):
     """Worst gap, relative to the peak, between the exact time derivative at
     the grid's radius classes and the central difference of the table rows
     for ``times``, taken as (t - dt, t + dt)."""
-    extent, spacing = 4.0, 0.5 / 16
-    radii, _ = _radius_classes(_grid_axis(extent, spacing))
-    before, after = _RadialTable(ws, times, extent, spacing)(radii)
+    m, spacing = 64, 0.5 / 16
+    radii, _ = _radius_classes(m, spacing)
+    before, after = _RadialTable(ws, times, m * spacing, spacing)(radii)
     exact = ws.radial_values(t, radii, derivative=1)
     return np.max(np.abs((after - before) / (2.0 * dt) - exact)) / np.max(np.abs(exact))
 
@@ -192,21 +206,26 @@ def test_table_rows_difference_check_fails_on_swapped_rows(solution):
     assert _central_difference_gap(solution, (t + dt, t - dt), t, dt) > 1.0
 
 
-@pytest.mark.parametrize("extent,spacing", [(2.0, 0.125), (2.3, 0.1), (1.7, 0.3)])
+@pytest.mark.parametrize("extent,spacing",
+                         [(2.0, 0.125), (2.3, 0.1), (1.7, 0.3), (0.875, 0.125)])
 def test_radius_classes_reproduce_the_grid_sum(extent, spacing):
-    # a dyadic axis (exactly symmetric), a decimal one (symmetric up to
-    # rounding) and a lopsided one (extent not a multiple of the spacing),
-    # each against the full cube
-    ax = _grid_axis(extent, spacing)
-    radii, count = _radius_classes(ax)
+    # a dyadic axis, a decimal one (23 steps, rounded to 11 either side), a
+    # fractional step count (5.67, rounded to 3 either side) and an odd one
+    # (7, rounded to 4 either side), each against the full cube
+    m = _half_steps(extent, spacing)
+    ax = spacing * np.arange(-m, m + 1)
+    radii, count = _radius_classes(m, spacing)
     full = np.sqrt(ax[:, None, None] ** 2 + ax[None, :, None] ** 2 + ax[None, None, :] ** 2)
-    assert np.all(np.diff(radii) >= 0)
+    assert np.all(np.diff(radii) > 0)
     assert np.all(count >= 1) and count.sum() == ax.size**3
     # one class per sorted triple of distinct squared axis values at most
     assert radii.size <= math.comb(np.unique(ax * ax).size + 2, 3)
     f = lambda r: np.cos(3.0 * r) * np.exp(-r)
     assert math.isclose(float(np.sum(count * f(radii))), float(np.sum(f(full))), rel_tol=1e-13)
-    assert float(np.sum(count[radii > 0.9])) == float(np.sum(full > 0.9))
+    # 0.92 lies between two shells on every grid here; a threshold on a shell
+    # (0.9 is the shell n = 81 of the 0.1 grid) splits its points by the last
+    # bit of their radii in float
+    assert float(np.sum(count[radii > 0.92])) == float(np.sum(full > 0.92))
 
 
 # ---------------------------------------------------------------- bj support
