@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from softcone import cli, studies
+from softcone import cli, profiles, quadrature, studies
 from softcone.errors import SoftconeError
 from softcone.pairing import build_mesh
 from softcone.quadrature import QuadratureSpec
@@ -247,18 +247,18 @@ def test_console_entry_point_runs():
 
 
 def test_failing_threshold_sets_exit_code(tmp_path):
-    # an ir-divergence slope check against a wrong oracle cannot pass;
-    # simplest honest failure: demand an impossible tolerance via a
-    # study option
-    text = MINI_CONFIG.replace("sigma_grid: [1.0e-2, 1.0e-3, 1.0e-4]",
-                               "sigma_grid: [1.0e-2, 1.0e-3, 1.0e-4]\n    slope_rtol: 1.0e-18")
+    # simplest honest failure: demand an impossible tolerance via a study
+    # option.  The Huyghens defect is a quadrature residual (about 1e-10 of
+    # the scale here), never 0; a slope can match its oracle to the last bit.
+    text = MINI_CONFIG.replace("include_v_hat: true",
+                               "include_v_hat: true\n    defect_rtol: 1.0e-18")
     path = write_config(tmp_path, text)
     rc = cli.run(path, str(tmp_path / "o"))
     assert rc == 1
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     by_name = {s["name"]: s for s in report["studies"]}
-    assert by_name["ir-divergence"]["pass"] is False
-    assert by_name["huyghens"]["pass"] is True
+    assert by_name["huyghens"]["pass"] is False
+    assert by_name["ir-divergence"]["pass"] is True
 
 
 def test_emit_plot_data_writes_tables_and_clears_them(tmp_path):
@@ -493,17 +493,25 @@ def test_sigma_at_or_above_kappa_rejected(tmp_path, capsys, study, key):
         # a zero tolerance fails every refinement check as a study error
         ("quadrature:\n  abs_tol: 0\n  rel_tol: 0\n", "not both 0"),
         ("params:\n  g: {center: 0.5, halfwidth: 1.0}\n", "window profile must be radial"),
+        # a Gauss rule of this order would build n^2 Legendre values
+        ("quadrature:\n  gauss_order: 20000\n", "gauss_order must be at most"),
     ],
     ids=["g-without-halfwidth", "fractional-n_phi", "oscillation-aware-off",
          "unknown-quadrature-key", "unknown-params-key", "zero-g_scale", "zero-window-amplitude",
          "infinite-kappa", "infinite-window-halfwidth", "infinite-alpha", "infinite-u", "nan-in-w",
          "word-abs_tol", "word-phi_offset", "negative-rel_tol", "zero-tolerances",
-         "window-center"],
+         "window-center", "huge-gauss_order"],
 )
-def test_malformed_parameter_block_rejected(tmp_path, capsys, block, where):
+def test_malformed_parameter_block_rejected(tmp_path, capsys, block, where, monkeypatch):
     # a missing key, a count that is not an integer, the removed Gauss-only
     # switch, a misspelt key, a number that is not finite or a negative
-    # tolerance must not reach the studies as a traceback or a failed check
+    # tolerance must not reach the studies as a traceback or a failed check;
+    # a refused block builds no quadrature rule
+    def never(order):
+        raise AssertionError(f"a Gauss rule of order {order} was built")
+
+    monkeypatch.setattr(quadrature, "gauss_rule", never)
+    monkeypatch.setattr(profiles, "gauss_rule", never)
     text = block + "studies:\n  - name: difference-norm\n"
     rc = cli.run(write_config(tmp_path, text), str(tmp_path / "o"))
     assert rc == 2

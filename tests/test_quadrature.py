@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,10 +8,13 @@ from softcone.errors import ToleranceNotMet
 from softcone import quadrature
 from softcone.quadrature import (
     KERNEL_CHUNK,
+    MAX_ANGULAR_NODES,
+    MAX_GAUSS_ORDER,
     QuadratureSpec,
     angular_mesh,
     filon_gauss,
     freq_bucket,
+    gauss_rule,
     geometric_breakpoints,
     integrate_1d,
     kernel_matvec,
@@ -32,6 +36,20 @@ def test_spec_validation():
         QuadratureSpec(r_min=2.0, r_max=1.0)
     with pytest.raises(ValueError):
         QuadratureSpec(nodes_per_wavelength=2.0)
+    QuadratureSpec(gauss_order=MAX_GAUSS_ORDER)
+    with pytest.raises(ValueError, match="gauss_order"):
+        QuadratureSpec(gauss_order=MAX_GAUSS_ORDER + 1)
+
+
+def test_filon_weights_are_exact_at_the_order_cap():
+    # the cap stays below order 56, where spherical_jn's downward recurrence
+    # overflows at |kappa| = 1 and the Filon weights turn NaN
+    n = MAX_GAUSS_ORDER
+    x, _ = panel_gauss(0.0, 2.0, 1, n)
+    for omega in (1.0, 1.7, 3.0, 50.0):
+        w = filon_gauss(0.0, 2.0, 1, n, omega)
+        for k, want in enumerate(_monomial_moments(0.0, 2.0, omega, n - 1)):
+            assert abs(np.sum(w * x**k) - want) <= 1e-12 * 2.0 ** (k + 1) / (k + 1)
 
 
 def test_refined_doubles_density():
@@ -106,6 +124,64 @@ def test_integrate_1d_oscillatory_with_freq_hint():
 
 def test_integrate_1d_empty_interval():
     assert integrate_1d(lambda x: x, 1.0, 1.0) == 0.0
+
+
+# ---------------------------------------------------------- Gauss-Legendre
+
+def _mpmath_gauss(n, ks):
+    """(node, weight) of the k-th largest Gauss-Legendre node of order n,
+    for each k in ``ks``, at 40 digits: mpmath's own P_n, Newton's method in
+    mpmath with a numerical derivative, and w = 2 / ((1 - x^2) P_n'(x)^2)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        p = lambda t: mpmath.legendre(n, t)
+        dp = lambda t: mpmath.diff(p, t)
+        out = []
+        for k in ks:
+            guess = mpmath.cos(mpmath.pi * (k - 0.25) / (n + 0.5))
+            x = mpmath.findroot(p, guess, solver="newton", df=dp)
+            out.append((x, 2 / ((1 - x * x) * dp(x) ** 2)))
+        return out
+
+
+@pytest.mark.parametrize("n", [360, 704])
+def test_gauss_rule_matches_mpmath_at_high_order(n):
+    # the three end weights are the hardest: an eigensolve of the companion
+    # matrix misses them by 5.0e-11 (order 360) and 2.9e-9 (order 704)
+    ks = [1, 2, 3, n // 8, n // 4, n // 2 - 1, n // 2]
+    x, w = gauss_rule(n)
+    for k, (xk, wk) in zip(ks, _mpmath_gauss(n, ks)):
+        i = n - k
+        assert abs(x[i] - float(xk)) <= 4 * np.spacing(x[i])
+        assert abs(w[i] - float(wk)) <= 1e-10 * float(wk)
+
+
+@pytest.mark.parametrize("n", [2, 3, 16, 17, 48, 704])
+def test_gauss_rule_is_exact_through_degree_2n_minus_1(n):
+    x, w = gauss_rule(n)
+    assert x.size == w.size == n and np.all(np.diff(x) > 0)
+    for d in range(2 * n):
+        want = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+        assert abs(np.sum(w * x**d) - want) <= 1e-12 * 2.0 / (d + 1)
+    assert abs(np.sum(w) - 2.0) <= 1e-15
+    # the lower half mirrors the upper half bit for bit
+    assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1])
+    if n % 2:
+        mid = x[n // 2]
+        assert mid == 0.0 and not np.signbit(mid)
+
+
+def test_gauss_rule_builds_no_square_matrix():
+    # an n x n companion matrix at the largest angular order is 128 MB
+    gauss_rule.cache_clear()
+    tracemalloc.start()
+    try:
+        x, w = gauss_rule(MAX_ANGULAR_NODES)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.size == MAX_ANGULAR_NODES and abs(np.sum(w) - 2.0) <= 1e-14
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------- shared pieces
