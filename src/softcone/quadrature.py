@@ -23,12 +23,21 @@ three-term recurrence, O(n^2) time and O(n) memory per order, with end
 weights good to about 1e-11 relative at order 704.
 
 The same composite-Gauss pieces serve the radial transforms elsewhere in the
-package (bump transforms, spectral wave solutions): ``panel_gauss`` builds the
-rule, ``panel_count`` sizes it for a frequency demand, ``freq_bucket`` rounds
-that demand to a power of two so rules can be cached, ``kernel_matvec`` applies
-an oscillatory kernel over the rule in place on bounded blocks (``sinc_matvec``
-is its sin(z)/z form), and ``unit_direction`` turns (mu, phi) into Cartesian
-unit vectors.
+package (bump transforms, spectral wave solutions): ``transform_rule`` builds
+the rule as a ``PanelRule`` of equal panels, ``panel_count`` sizes it for a
+frequency demand, ``freq_bucket`` rounds that demand to a power of two so
+rules can be cached, ``kernel_matvec`` sums sin(x rho) or cos(x rho) over the
+rule (``sinc_matvec`` is its sin(z)/z form), and ``unit_direction`` turns
+(mu, phi) into Cartesian unit vectors.  Every node of a transform rule is a
+panel's left edge plus an offset that all panels share, so angle addition
+splits each kernel value into a factor per (x, panel) and one per (x, node
+of a panel): the kernel takes 2 (panels + order) sines and cosines per x
+instead of one per node, and one matrix product over the panels does the
+rest.  The split is at the left edge, where the first panel of a rule on
+[0, R] has no phase to cancel (at the midpoints the sinc kernel misses a
+long-double oracle by 1.2e-15 of its largest value on the wave rule, at
+the left edges by 5.3e-16).  ``KERNEL_CHUNK`` bounds the trig and
+panel-sum elements of each block of x.
 
 A known linear phase e^(i omega rho) is integrated exactly by Filon-Legendre
 weights on the same nodes (``filon_gauss``, ``radial_filon_weights``, one row
@@ -46,6 +55,7 @@ import math
 import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,12 +63,13 @@ from .errors import ToleranceNotMet, require_finite
 
 MAX_RADIAL_NODES = 2_000_000
 MAX_ANGULAR_NODES = 4096
-# spherical_jn's downward recurrence starts at 2 (order - 1) + 40 and
-# overflows at |kappa| = 1 from order 56 on, which turns Filon weights NaN
+# spherical_jn's downward recurrence starts at 2 nmax + 40 and overflows at
+# |kappa| = 1 from nmax 55 on, which would turn Filon weights NaN; spherical_jn
+# and the Filon weights refuse anything above this cap
 MAX_GAUSS_ORDER = 48
 TRANSFORM_ORDER = 16             # Gauss order of the radial transform rules
 TRANSFORM_NODES_PER_WAVELENGTH = 6.0
-KERNEL_CHUNK = 4_000_000         # kernel elements per block of kernel_matvec
+KERNEL_CHUNK = 4_000_000         # trig and panel-sum elements per block of kernel_matvec
 SLOW_PANEL = 1.0                 # |omega| h below this: Gauss weights times the carrier
 NEWTON_STEP = 1e-14              # gauss_rule stops once no node moves by more
 
@@ -126,13 +137,16 @@ def panel_gauss(lo: float, hi: float, npanels: int, order: int):
 def spherical_jn(nmax: int, kappa) -> np.ndarray:
     """Spherical Bessel functions j_0 .. j_nmax at each entry of ``kappa``,
     shape ``kappa.shape + (nmax + 1,)``, for |kappa| >= 1 (the fast panels
-    of `_filon_weights`); raises ValueError for any smaller |kappa|.
+    of `_filon_weights`) and nmax <= MAX_GAUSS_ORDER; raises ValueError for
+    any smaller |kappa| or larger nmax.
 
     |kappa| > nmax runs the recurrence j_(n+1) = (2n+1)/kappa j_n - j_(n-1)
     upward (stable for n < kappa), and the range between runs it downward
     from n = 2 nmax + 40 (Miller), scaled to the closed form of j_0 or j_1,
     whichever is larger.  Negative arguments use j_n(-kappa) = (-1)^n
     j_n(kappa)."""
+    if nmax > MAX_GAUSS_ORDER:
+        raise ValueError(f"spherical_jn needs nmax <= {MAX_GAUSS_ORDER}, got {nmax}")
     k = np.asarray(kappa, dtype=float)
     x = np.abs(k).ravel()
     if not np.all(x >= 1.0):
@@ -196,13 +210,16 @@ def filon_gauss(lo: float, hi: float, npanels: int, order: int, omega) -> np.nda
     weights times the carrier at the nodes, W_j = h w_j e^(i omega x_j), are
     exact to about kappa^(order+1) / (2 order)!.  An array of omegas gives
     one row of weights each, shape ``omega.shape + (nodes,)``.  At omega = 0
-    they are the Gauss weights, bit for bit."""
+    they are the Gauss weights, bit for bit.  Orders above MAX_GAUSS_ORDER
+    raise ValueError."""
     return _filon_weights(*_panels(lo, hi, npanels), order, omega)
 
 
 def _filon_weights(mid: np.ndarray, half: np.ndarray, order: int, omega) -> np.ndarray:
     """`filon_gauss` weights on the panels with these midpoint and half-width
     columns, panel by panel, for each entry of ``omega``."""
+    if order > MAX_GAUSS_ORDER:
+        raise ValueError(f"Filon weights need order <= {MAX_GAUSS_ORDER}, got {order}")
     x, w = gauss_rule(order)
     omega = np.asarray(omega, dtype=float)
     om = omega.reshape(-1, 1, 1)
@@ -236,44 +253,86 @@ def freq_bucket(freq: float) -> float:
     return float(2.0 ** math.ceil(math.log2(max(freq, 4.0))))
 
 
-def transform_rule(lo: float, hi: float, freq: float, floor: int):
-    """Composite rule on [lo, hi] for radial transforms up to frequency ``freq``."""
+class PanelRule(NamedTuple):
+    """A composite Gauss rule on equal panels, flat panel by panel: node
+    (p, k) is edges[p] + offsets[k], the left edge of panel p plus the k-th
+    node's offset from it, which every panel shares.  A caller may fold the
+    fixed factors of its integrand into the weights (``_replace``)."""
+
+    nodes: np.ndarray
+    weights: np.ndarray
+    edges: np.ndarray
+    offsets: np.ndarray
+
+
+def transform_rule(lo: float, hi: float, freq: float, floor: int) -> PanelRule:
+    """Composite rule on [lo, hi] for radial transforms up to frequency
+    ``freq``: equal panels of TRANSFORM_ORDER nodes."""
     npanels = panel_count(
         freq, hi - lo, TRANSFORM_NODES_PER_WAVELENGTH, TRANSFORM_ORDER, floor
     )
-    return panel_gauss(lo, hi, npanels, TRANSFORM_ORDER)
+    x, w = gauss_rule(TRANSFORM_ORDER)
+    half = (hi - lo) / (2 * npanels)
+    edges = lo + 2.0 * half * np.arange(npanels)
+    offsets = half * (1.0 + x)
+    return PanelRule((edges[:, None] + offsets).ravel(), np.tile(half * w, npanels), edges, offsets)
 
 
-def kernel_matvec(kernel, x, nodes: np.ndarray, coeff: np.ndarray) -> np.ndarray:
-    """sum_j kernel(x_i nodes_j) coeff_j[...] for every entry x_i of ``x``
-    (shape ``x.shape + coeff.shape[1:]``).  ``kernel`` is a ufunc such as
-    ``np.sin``; it is applied in place on one outer-product block of at most
-    KERNEL_CHUNK elements, and every column of ``coeff`` shares that block."""
+def kernel_matvec(kind: str, x, rule: PanelRule, coeff: np.ndarray) -> np.ndarray:
+    """sum_j k(x_i nodes_j) coeff_j[...] for k = sin (``kind`` "sin") or cos
+    ("cos") and every entry x_i of ``x``, on the nodes of ``rule`` (shape
+    ``x.shape + coeff.shape[1:]``).
+
+    Node (p, k) is e_p + b_k, so by angle addition
+    sin(x (e_p + b_k)) = sin(x e_p) cos(x b_k) + cos(x e_p) sin(x b_k), and
+    cos(x (e_p + b_k)) = cos(x e_p) cos(x b_k) - sin(x e_p) sin(x b_k).  One
+    matrix product of [sin(x e); cos(x e)] with the coefficients, panels
+    down and (node in panel, column) across, sums over the panels; the
+    products with cos(x b) and sin(x b), summed over the nodes of a panel,
+    finish the sum.  That costs 2 (panels + order) sines and cosines per
+    x_i, not one per node.  The split is at each panel's left edge, not its
+    midpoint, so the first panel of a rule on [0, R] has e = 0 and adds no
+    cancelling pair of terms.  Rows of ``x`` go in blocks whose trig and
+    panel-sum arrays hold at most KERNEL_CHUNK elements."""
+    if kind not in ("sin", "cos"):
+        raise ValueError(f"kernel must be 'sin' or 'cos', got {kind!r}")
     x = np.asarray(x, dtype=float)
     flat = x.reshape(-1)
-    out = np.empty(flat.shape + coeff.shape[1:])
-    step = max(1, KERNEL_CHUNK // max(nodes.size, 1))
-    buf = np.empty((min(step, flat.size), nodes.size))
+    npanels, order = rule.edges.size, rule.offsets.size
+    panels = np.reshape(coeff, (npanels, -1))      # row p: (node k, column) of panel p
+    ncols = panels.shape[1] // order
+    out = np.empty((flat.size, ncols))
+    step = max(1, KERNEL_CHUNK // (2 * (npanels + order * (ncols + 1))))
     for i in range(0, flat.size, step):
         xb = flat[i : i + step]
-        blk = np.multiply.outer(xb, nodes, out=buf[: xb.size])
-        kernel(blk, out=blk)
-        out[i : i + step] = blk @ coeff
+        edge = np.empty((2, xb.size, npanels))
+        np.multiply.outer(xb, rule.edges, out=edge[1])
+        np.sin(edge[1], out=edge[0])
+        np.cos(edge[1], out=edge[1])
+        sums = (edge.reshape(-1, npanels) @ panels).reshape(2, xb.size, order, ncols)
+        off = np.multiply.outer(xb, rule.offsets)
+        if kind == "sin":
+            sums[0] *= np.cos(off)[..., None]
+            sums[1] *= np.sin(off)[..., None]
+        else:
+            sums[0] *= -np.sin(off)[..., None]
+            sums[1] *= np.cos(off)[..., None]
+        out[i : i + step] = sums.sum(axis=(0, 2))
     return out.reshape(x.shape + coeff.shape[1:])
 
 
-def sinc_matvec(x, nodes: np.ndarray, coeff: np.ndarray) -> np.ndarray:
+def sinc_matvec(x, rule: PanelRule, coeff: np.ndarray) -> np.ndarray:
     """sum_j sinc(x_i nodes_j) coeff_j with sinc(z) = sin(z) / z, as
     (1 / x_i) sum_j sin(x_i nodes_j) (coeff_j / nodes_j), and sum_j coeff_j
     where x_i = 0.  Needs nodes_j != 0 (transform rules have interior Gauss
     nodes); ``coeff`` may have trailing columns, as in ``kernel_matvec``."""
     x = np.asarray(x, dtype=float)
-    out = kernel_matvec(np.sin, x, nodes, (coeff.T / nodes).T)
+    out = kernel_matvec("sin", x, rule, (coeff.T / rule.nodes).T)
     flat = x.reshape(-1)
     rows = out.reshape(flat.size, math.prod(coeff.shape[1:]))
     nonzero = flat != 0.0
     rows[nonzero] /= flat[nonzero, None]
-    rows[~nonzero] = coeff.sum(axis=0)
+    rows[~nonzero] = coeff.sum(axis=0).reshape(-1)
     return out
 
 

@@ -118,15 +118,16 @@ class TimeBumpTransform(_MemoizedTransform):
         rule = self._rules.get(bucket)
         if rule is None:
             h = self.bump.halfwidth
-            s, w = transform_rule(-h, h, bucket, 4)
+            rule = transform_rule(-h, h, bucket, 4)
             centered = BumpProfile(0.0, h, self.bump.amplitude)
-            rule = (s, w * centered(s) / math.sqrt(TWO_PI))
+            rule = rule._replace(weights=rule.weights * centered(rule.nodes) / math.sqrt(TWO_PI))
             self._rules[bucket] = rule
         return rule
 
     def __call__(self, rho):
         rho = np.asarray(rho, dtype=float)
-        return kernel_matvec(np.cos, rho, *self._rule(_bucket_of(rho)))
+        rule = self._rule(_bucket_of(rho))
+        return kernel_matvec("cos", rho, rule, rule.weights)
 
 
 class RadialBumpTransform(_MemoizedTransform):
@@ -146,15 +147,17 @@ class RadialBumpTransform(_MemoizedTransform):
     def _rule(self, bucket: float):
         rule = self._rules.get(bucket)
         if rule is None:
-            r, w = transform_rule(0.0, self.bump.halfwidth, bucket, 4)
-            coeff = w * r * r * self.bump(r) * (4.0 * math.pi / TWO_PI**1.5)
-            rule = (r, coeff)
+            rule = transform_rule(0.0, self.bump.halfwidth, bucket, 4)
+            r = rule.nodes
+            coeff = rule.weights * r * r * self.bump(r) * (4.0 * math.pi / TWO_PI**1.5)
+            rule = rule._replace(weights=coeff)
             self._rules[bucket] = rule
         return rule
 
     def __call__(self, rho):
         rho = np.asarray(rho, dtype=float)
-        return sinc_matvec(rho, *self._rule(_bucket_of(rho)))
+        rule = self._rule(_bucket_of(rho))
+        return sinc_matvec(rho, rule, rule.weights)
 
 
 @dataclass(frozen=True)

@@ -65,9 +65,9 @@ class WaveSolution:
     def _rule(self, bucket: float):
         rule = self._rules.get(bucket)
         if rule is None:
-            rho, w = transform_rule(0.0, self._cutoff, bucket, 8)
-            coeff = WAVE_PREFACTOR * w * rho * self._transform(rho)
-            rule = (rho, coeff)
+            rule = transform_rule(0.0, self._cutoff, bucket, 8)
+            rho = rule.nodes
+            rule = rule._replace(weights=WAVE_PREFACTOR * rule.weights * rho * self._transform(rho))
             self._rules[bucket] = rule
         return rule
 
@@ -80,13 +80,14 @@ class WaveSolution:
         radii = np.asarray(radii, dtype=float)
         taus = np.asarray(times, dtype=float)
         reach = float(np.max(np.abs(taus), initial=0.0))
-        rho, coeff = self._rule(_bucket(float(np.max(radii, initial=0.0)) + reach))
+        rule = self._rule(_bucket(float(np.max(radii, initial=0.0)) + reach))
+        rho, coeff = rule.nodes, rule.weights
         phase = np.multiply.outer(rho, taus)
         if derivative == 0:
             tcoeff = coeff[:, None] * np.sin(phase)
         else:
             tcoeff = (coeff * rho)[:, None] * np.cos(phase)
-        return sinc_matvec(radii, rho, tcoeff)
+        return sinc_matvec(radii, rule, tcoeff)
 
     def radial_values(self, t: float, radii: np.ndarray, derivative: int = 0):
         """g (or exactly d/dt g for derivative=1) at radius samples."""
@@ -324,14 +325,15 @@ def bj_support_check(fields: TestFieldPair, probe_radii) -> list:
         tt = TimeBumpTransform(term.time)
         st = RadialBumpTransform(term.space)
         cutoff = _truncation_radius([lambda rho: tt(rho) * st(rho)])
-        rho, w = transform_rule(0.0, cutoff, _bucket(y_max + abs(term.time.center)), 8)
+        rule = transform_rule(0.0, cutoff, _bucket(y_max + abs(term.time.center)), 8)
+        rho = rule.nodes
         radial = (
             term.amplitude
             * np.cos(rho * term.time.center)
             * tt(rho)
             * st(rho)
         )
-        h_scalar = sinc_matvec(radii, rho, w * rho * rho * radial)
+        h_scalar = sinc_matvec(radii, rule, rule.weights * rho * rho * radial)
         h_vec += h_scalar[:, None] * np.asarray(term.direction)
 
     density = radii * radii * np.sum(h_vec * h_vec, axis=-1)

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from softcone.errors import ToleranceNotMet
+from softcone.testfields import BumpProfile
+from softcone.wavecheck import WaveSolution
 from softcone import quadrature
 from softcone.quadrature import (
     KERNEL_CHUNK,
@@ -206,38 +208,129 @@ def test_panel_count_keeps_nodes_per_wavelength_and_floor():
     assert 16 * n >= 600 > 16 * (n - 1)
 
 
+def _longdouble_kernel(kind, x, nodes, coeff):
+    """sum_j k(x_i nodes_j) coeff_j from the outer product in long double,
+    sinc(0) = 1: an oracle that shares no step with the panel split."""
+    arg = np.multiply.outer(np.asarray(x, dtype=np.longdouble), nodes.astype(np.longdouble))
+    if kind == "sinc":
+        with np.errstate(divide="ignore", invalid="ignore"):
+            k = np.where(arg == 0, np.longdouble(1), np.sin(arg) / arg)
+    else:
+        k = np.sin(arg) if kind == "sin" else np.cos(arg)
+    return k @ coeff.astype(np.longdouble)
+
+
+def _worst(got, want):
+    """Largest error of each column over that column's largest |want|."""
+    want = want.reshape(got.shape[0], -1)
+    err = np.abs(got.reshape(want.shape) - want)
+    return float(np.max(np.max(err, axis=0) / np.max(np.abs(want), axis=0)))
+
+
 def test_kernel_matvec_chunks_match_one_product():
-    nodes = np.linspace(0.01, 9.0, 128)
+    rule = transform_rule(0.01, 9.0, 0.0, 8)       # 8 panels of 16 nodes
+    nodes = rule.nodes
     coeff = np.cos(nodes) * np.exp(-nodes)
-    n = 3 * (KERNEL_CHUNK // nodes.size) - 17   # three blocks, the last partial
+    # rows per block with one column: KERNEL_CHUNK / (2 (panels + 2 order))
+    n = 3 * (KERNEL_CHUNK // (2 * (8 + 2 * 16))) - 17   # three blocks, the last partial
     x = np.linspace(0.0, 40.0, n).reshape(-1, 1)
-    got = sinc_matvec(x, nodes, coeff)
-    want = np.sinc(np.outer(x.ravel(), nodes) / math.pi) @ coeff
+    got = sinc_matvec(x, rule, coeff)
+    want = np.concatenate([np.sinc(np.outer(xs, nodes) / math.pi) @ coeff
+                           for xs in np.array_split(x.ravel(), 8)])
     assert got.shape == x.shape
     assert np.max(np.abs(got.ravel() - want)) <= 1e-15 * np.max(np.abs(want))
 
 
+def _wave_table_case():
+    """The rule, radii and time columns of the wave table of the 0.5 bump:
+    radii at a quarter of the grid spacing out to the cube's corner, and
+    the sample time 0.8 with its central-difference neighbours, plus two
+    about t = 0 (the column at t = 0 itself is zero)."""
+    ws = WaveSolution(BumpProfile(0.0, 0.5))
+    radii = (0.5 / 64.0) * np.arange(584)
+    rule = ws._rule(freq_bucket(radii[-1] + 0.8))
+    taus = np.array([0.8, -0.01, 0.01, 0.79, 0.81])
+    cols = rule.weights[:, None] * np.sin(np.multiply.outer(rule.nodes, taus))
+    return radii, rule, cols
+
+
+@pytest.mark.parametrize("kind", ["sin", "cos", "sinc"])
+def test_kernels_match_a_longdouble_outer_product_on_the_wave_rule(kind):
+    radii, rule, cols = _wave_table_case()
+    assert rule.nodes.size == 3056
+    got = (sinc_matvec(radii, rule, cols) if kind == "sinc"
+           else kernel_matvec(kind, radii, rule, cols))
+    assert _worst(got, _longdouble_kernel(kind, radii, rule.nodes, cols)) <= 1e-15
+
+
+def test_cos_kernel_matches_a_longdouble_outer_product_on_a_symmetric_rule():
+    # the time-transform rule: [-h, h], its first left edge at -h
+    rule = transform_rule(-0.4, 0.4, 512.0, 4)
+    coeff = rule.weights * BumpProfile(0.0, 0.4)(rule.nodes)
+    x = np.linspace(0.0, 512.0, 2049)
+    got = kernel_matvec("cos", x, rule, coeff)
+    assert _worst(got, _longdouble_kernel("cos", x, rule.nodes, coeff)) <= 1e-15
+
+
+def test_kernel_check_fails_with_offsets_shifted_by_one_node():
+    # negative control: the panel split with each node's offset taken from
+    # its neighbour misses the oracle by far more than the bound
+    radii, rule, cols = _wave_table_case()
+    radii, cols = radii[::8], cols[:, :2]
+    shifted = rule._replace(offsets=np.roll(rule.offsets, -1))
+    want = _longdouble_kernel("sinc", radii, rule.nodes, cols)
+    assert _worst(sinc_matvec(radii, shifted, cols), want) > 1e-3
+    for kind in ("sin", "cos"):
+        want = _longdouble_kernel(kind, radii, rule.nodes, cols)
+        assert _worst(kernel_matvec(kind, radii, shifted, cols), want) > 1e-3
+
+
+def test_kernels_at_zero_and_on_empty_0d_and_multi_column_inputs():
+    rule = transform_rule(0.0, 2.0, 64.0, 4)
+    coeff = rule.weights * np.exp(-rule.nodes)
+    assert sinc_matvec(np.zeros(3), rule, coeff).tolist() == [np.sum(coeff)] * 3
+    assert np.all(kernel_matvec("sin", np.zeros(2), rule, coeff) == 0.0)
+    assert kernel_matvec("cos", 0.0, rule, coeff) == pytest.approx(np.sum(coeff), rel=1e-15)
+    cols = np.stack([coeff, 2.0 * coeff, -coeff, coeff * rule.nodes, coeff, coeff],
+                    axis=1).reshape(-1, 2, 3)
+    x = np.array([[0.0, 0.7], [3.0, 41.0]])
+    for apply in (lambda xx, c: kernel_matvec("sin", xx, rule, c),
+                  lambda xx, c: kernel_matvec("cos", xx, rule, c),
+                  lambda xx, c: sinc_matvec(xx, rule, c)):
+        assert apply(np.empty((0, 3)), coeff).shape == (0, 3)
+        assert apply(np.empty(0), cols).shape == (0, 2, 3)
+        assert apply(np.float64(0.7), coeff).shape == ()
+        assert apply(0.7, cols).shape == (2, 3)
+        both = apply(x, cols)
+        assert both.shape == (2, 2, 2, 3)
+        assert np.array_equal(apply(0.7, cols), both[0, 1])
+        assert np.array_equal(apply(np.float64(0.7), coeff), apply(np.array([0.7]), coeff)[0])
+    with pytest.raises(ValueError, match="kernel"):
+        kernel_matvec("tan", x, rule, coeff)
+
+
 def _kernel_case():
-    nodes, w = transform_rule(0.0, 2.0, 64.0, 4)  # interior Gauss nodes
-    coeff = w * np.exp(-nodes) * np.cos(3.0 * nodes)
+    rule = transform_rule(0.0, 2.0, 64.0, 4)  # interior Gauss nodes
+    coeff = rule.weights * np.exp(-rule.nodes) * np.cos(3.0 * rule.nodes)
     x = np.concatenate(([0.0, 1e-12], np.linspace(0.5, 400.0, 801)))
-    return x, nodes, coeff
+    return x, rule, coeff
 
 
 def test_sinc_matvec_matches_numpy_sinc():
-    x, nodes, coeff = _kernel_case()
-    got = sinc_matvec(x, nodes, coeff)
-    want = np.sinc(np.outer(x, nodes) / math.pi) @ coeff
+    x, rule, coeff = _kernel_case()
+    got = sinc_matvec(x, rule, coeff)
+    want = np.sinc(np.outer(x, rule.nodes) / math.pi) @ coeff
     assert np.max(np.abs(got - want)) <= 1e-13 * np.sum(np.abs(coeff))
     assert got[0] == np.sum(coeff)
 
 
 def test_kernel_columns_match_one_column_calls():
-    x, nodes, coeff = _kernel_case()
-    cols = np.stack([coeff, -nodes * coeff], axis=1)
+    x, rule, coeff = _kernel_case()
+    cols = np.stack([coeff, -rule.nodes * coeff], axis=1)
     xx = x[:-1].reshape(-1, 2)
-    for apply in (lambda c: kernel_matvec(np.cos, xx, nodes, c),
-                  lambda c: sinc_matvec(xx, nodes, c)):
+    for apply in (lambda c: kernel_matvec("cos", xx, rule, c),
+                  lambda c: kernel_matvec("sin", xx, rule, c),
+                  lambda c: sinc_matvec(xx, rule, c)):
         both = apply(cols)
         assert both.shape == xx.shape + (2,)
         for k in range(2):
@@ -246,26 +339,41 @@ def test_kernel_columns_match_one_column_calls():
 
 
 def test_kernel_chunks_match_one_block(monkeypatch):
-    x, nodes, coeff = _kernel_case()
-    cols = np.stack([coeff, -nodes * coeff], axis=1)
-    one = [sinc_matvec(x, nodes, c) for c in (coeff, cols)]
-    assert x.size * nodes.size <= KERNEL_CHUNK
-    # blocks of 7 rows, the last one partial
-    monkeypatch.setattr(quadrature, "KERNEL_CHUNK", 7 * nodes.size + 3)
+    x, rule, coeff = _kernel_case()
+    cols = np.stack([coeff, -rule.nodes * coeff], axis=1)
+    one = [sinc_matvec(x, rule, c) for c in (coeff, cols)]
+    npanels, order = rule.edges.size, rule.offsets.size
+    per_row = 2 * (npanels + 3 * order)      # elements of a block row with two columns
+    assert x.size * per_row <= KERNEL_CHUNK
+    # blocks of 7 rows with two columns (9 with one), the last one partial
+    monkeypatch.setattr(quadrature, "KERNEL_CHUNK", 7 * per_row + 3)
     for c, want in zip((coeff, cols), one):
-        got = sinc_matvec(x, nodes, c)
+        got = sinc_matvec(x, rule, c)
         assert np.max(np.abs(got - want)) <= 1e-15 * np.sum(np.abs(c))
 
 
 def test_kernels_leave_their_inputs_alone():
-    x, nodes, coeff = _kernel_case()
+    x, rule, coeff = _kernel_case()
     cols = np.stack([coeff, -coeff], axis=1)
-    saved = [a.copy() for a in (x, nodes, coeff, cols)]
-    sinc_matvec(x, nodes, coeff)
-    sinc_matvec(x, nodes, cols)
-    kernel_matvec(np.sin, x, nodes, cols)
-    for a, b in zip((x, nodes, coeff, cols), saved):
+    inputs = (x, coeff, cols) + tuple(rule)
+    saved = [a.copy() for a in inputs]
+    sinc_matvec(x, rule, coeff)
+    sinc_matvec(x, rule, cols)
+    kernel_matvec("sin", x, rule, cols)
+    kernel_matvec("cos", x, rule, coeff)
+    for a, b in zip(inputs, saved):
         assert np.array_equal(a, b)
+
+
+def test_transform_rule_nodes_are_left_edges_plus_shared_offsets():
+    rule = transform_rule(0.0, 3.0, 40.0, 4)
+    npanels = rule.edges.size
+    assert rule.nodes.size == rule.weights.size == 16 * npanels
+    assert np.array_equal(rule.nodes, (rule.edges[:, None] + rule.offsets).ravel())
+    nodes, weights = panel_gauss(0.0, 3.0, npanels, 16)
+    assert np.max(np.abs(rule.nodes - nodes)) <= 4e-16 * 3.0
+    assert np.max(np.abs(rule.weights - weights)) <= 1e-16 * np.max(weights)
+    assert np.all(np.diff(rule.nodes) > 0) and 0.0 < rule.nodes[0] and rule.nodes[-1] < 3.0
 
 
 def test_freq_bucket_powers_of_two_with_floor_4():
@@ -307,6 +415,25 @@ def test_spherical_jn_rejects_arguments_below_its_domain(kappa):
     # as rows of NaN
     with pytest.raises(ValueError, match="kappa"):
         spherical_jn(15, np.array([2.0, kappa, -30.0]))
+
+
+def test_miller_recurrence_is_finite_up_to_the_order_cap_and_refused_above(monkeypatch):
+    kappa = np.linspace(1.0, 200.0, 1991)
+    kappa = np.concatenate([kappa, -kappa])
+    with np.errstate(all="raise"):
+        assert np.all(np.isfinite(spherical_jn(MAX_GAUSS_ORDER, kappa)))
+        for omega in (1.0, 1.7, 3.0, 50.0, 200.0):    # kappa = omega on one panel [0, 2]
+            assert np.all(np.isfinite(filon_gauss(0.0, 2.0, 1, MAX_GAUSS_ORDER, omega)))
+    for order in (MAX_GAUSS_ORDER + 1, 56, 128):
+        with pytest.raises(ValueError, match="nmax"):
+            spherical_jn(order, kappa)
+        with pytest.raises(ValueError, match="order"):
+            filon_gauss(0.0, 2.0, 1, order, 3.0)
+    # what the cap guards against: the recurrence started at 2 nmax + 40
+    # overflows near |kappa| = 1 once nmax reaches 55
+    monkeypatch.setattr(quadrature, "MAX_GAUSS_ORDER", 1000)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        spherical_jn(55, kappa)
 
 
 def test_filon_weights_are_gauss_weights_at_zero_frequency():
