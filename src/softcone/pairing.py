@@ -23,15 +23,16 @@ field's are, is summed in the frame whose pole is its carrier difference c:
 the sphere integral is the same in any frame, and there omega = c0 + |c| mu
 depends on the cos-theta node alone, so F is needed at n_mu frequencies, not
 at n_mu n_phi; the polarisations turn with the frame.
-F is integrated exactly in the carrier by Filon weights
-(`quadrature.radial_filon_weights`, Gauss weights times the carrier on the
-panels where it hardly turns), once per distinct omega, so the radial rule
-only resolves the envelopes (``envelope_bandwidth``) and costs the same
-whatever the carriers.  They set the angular rule only where a carrier
-difference has a stationary direction, on which omega vanishes (|c0| <= |c|,
-padded by ``RESONANCE_WINDOW``): there the integrand oscillates at rho |c| in
-angle, so the cos-theta count resolves max(|c3|, |c_perp|) and the phi count
-|c_perp| over the radial range.  Any other pair raises nothing: its F is
+F is integrated exactly in the carrier by Filon sums
+(`quadrature.radial_filon_sums`: per-panel moments of the radial factors,
+a Taylor series in omega on the panels where the carrier hardly turns and
+Bessel rows on the rest, never a weight matrix), once per distinct omega,
+so the radial rule only resolves the envelopes (``envelope_bandwidth``)
+and costs the same whatever the carriers.  They set the angular rule only
+where a carrier difference has a stationary direction, on which omega
+vanishes (|c0| <= |c|, padded by ``RESONANCE_WINDOW``): there the integrand
+oscillates at rho |c| in angle, so the cos-theta count resolves
+max(|c3|, |c_perp|) and the phi count |c_perp| over the radial range.  Any other pair raises nothing: its F is
 smooth in omega away from 0, and the two-level check guards every entry.
 
 The L1 mass (``scale``) is the Gauss sum of |integrand| on the refined
@@ -66,7 +67,7 @@ from .profiles import DressingParams, profile_wavefunction
 from .quadrature import (
     QuadratureSpec,
     angular_mesh,
-    radial_filon_weights,
+    radial_filon_sums,
     radial_mesh,
     unit_direction,
 )
@@ -76,7 +77,7 @@ TWO_PI = 2.0 * math.pi
 RESONANCE_WINDOW = 1.3   # |c0| / |c| below this: the pair has a stationary direction
 MU_PAD = 16
 PHI_PAD = 8
-CHUNK_ELEMENTS = 600_000  # radial-nodes x angular-nodes budget per chunk
+CHUNK_ELEMENTS = 600_000  # radial nodes x (angular nodes, or omegas x columns) per chunk
 
 
 @dataclass(frozen=True)
@@ -266,14 +267,11 @@ def _part_pairs(mesh: _Mesh, khat, parts_i, parts_j, dots) -> list:
 
 
 def _filon_sums(mesh: _Mesh, omega: np.ndarray, radials: np.ndarray) -> np.ndarray:
-    """sum_r W_r(omega_k) radials[r, m] for each omega_k, with the Filon
-    weights of the mesh's radial rule, built a block of omegas at a time."""
-    step = max(1, CHUNK_ELEMENTS // mesh.rho.size)
-    out = np.empty((omega.size, radials.shape[1]), dtype=complex)
-    for start in range(0, omega.size, step):
-        weights = radial_filon_weights(*mesh.radial_rule, omega[start:start + step])
-        out[start:start + step] = weights @ radials
-    return out
+    """sum_r W_r(omega_k) radials[r, m] for each omega_k, the Filon sums of
+    the mesh's radial rule, taken a block of omegas at a time."""
+    step = max(1, CHUNK_ELEMENTS // radials.size)
+    return np.concatenate([radial_filon_sums(*mesh.radial_rule, omega[start:start + step], radials)
+                           for start in range(0, omega.size, step)])
 
 
 def _carrier_sums(mesh: _Mesh, khat, parts, entries):

@@ -20,7 +20,9 @@ metadata, so node generation is reproducible bit-for-bit:
 Every Gauss-Legendre rule here (radial panels, transform rules, the mu rule,
 the Filon basis) is ``gauss_rule``: Newton's method on the Legendre
 three-term recurrence, O(n^2) time and O(n) memory per order, with end
-weights good to about 1e-11 relative at order 704.
+weights good to about 1e-11 relative at order 704.  The Filon basis takes
+its Legendre values from the same recurrence (``_legendre_rows``), so the
+package needs nothing from ``numpy.polynomial``.
 
 The same composite-Gauss pieces serve the radial transforms elsewhere in the
 package (bump transforms, spectral wave solutions): ``transform_rule`` builds
@@ -40,13 +42,19 @@ the left edges by 5.3e-16).  ``KERNEL_CHUNK`` bounds the trig and
 panel-sum elements of each block of x.
 
 A known linear phase e^(i omega rho) is integrated exactly by Filon-Legendre
-weights on the same nodes (``filon_gauss``, ``radial_filon_weights``, one row
-per entry of an array of omegas; Iserles and Norsett 2005), so the panel
-density only has to follow what oscillates besides it.  On a panel where the
-phase turns by less than ``SLOW_PANEL`` radians over a half-width, the
-weights are the Gauss weights times the phase at the nodes, which costs one
-cos and one sin per node; only faster panels pay for the Bessel moments
-(``spherical_jn``).  Any other oscillation still raises the panel density
+weights on the same nodes (Iserles and Norsett 2005), so the panel density
+only has to follow what oscillates besides it.  The weights are never
+formed: ``radial_filon_sums`` takes sum_j W_j(omega) R_j for an array of
+omegas and columns of values R panel by panel, from moments of R that do
+not depend on omega (``filon_gauss`` is the same sums of the identity).  On
+a panel where the phase turns by less than ``SLOW_PANEL`` radians over a
+half-width, the weights are the Gauss weights times the carrier, whose
+Taylor series in omega h is cut after ``TAYLOR_TERMS`` terms:
+SLOW_PANEL^20 / 20! is below 4e-19, so the two constants move together.
+The slow panels of all omegas then take one matrix product of the powers
+omega^n with the panels' moments; only faster panels pay for Bessel rows
+(``spherical_jn``), and a call costs one phase per (omega, panel), not one
+per (omega, node).  Any other oscillation still raises the panel density
 linearly with its frequency.
 """
 from __future__ import annotations
@@ -70,7 +78,8 @@ MAX_GAUSS_ORDER = 48
 TRANSFORM_ORDER = 16             # Gauss order of the radial transform rules
 TRANSFORM_NODES_PER_WAVELENGTH = 6.0
 KERNEL_CHUNK = 4_000_000         # trig and panel-sum elements per block of kernel_matvec
-SLOW_PANEL = 1.0                 # |omega| h below this: Gauss weights times the carrier
+SLOW_PANEL = 1.0                 # |omega| h below this: the carrier's Taylor series on the panel
+TAYLOR_TERMS = 20                # terms of that series: SLOW_PANEL^20 / 20! < 4e-19
 NEWTON_STEP = 1e-14              # gauss_rule stops once no node moves by more
 
 
@@ -137,104 +146,183 @@ def panel_gauss(lo: float, hi: float, npanels: int, order: int):
 def spherical_jn(nmax: int, kappa) -> np.ndarray:
     """Spherical Bessel functions j_0 .. j_nmax at each entry of ``kappa``,
     shape ``kappa.shape + (nmax + 1,)``, for |kappa| >= 1 (the fast panels
-    of `_filon_weights`) and nmax <= MAX_GAUSS_ORDER; raises ValueError for
+    of the Filon sums) and nmax <= MAX_GAUSS_ORDER; raises ValueError for
     any smaller |kappa| or larger nmax.
 
     |kappa| > nmax runs the recurrence j_(n+1) = (2n+1)/kappa j_n - j_(n-1)
     upward (stable for n < kappa), and the range between runs it downward
     from n = 2 nmax + 40 (Miller), scaled to the closed form of j_0 or j_1,
     whichever is larger.  Negative arguments use j_n(-kappa) = (-1)^n
-    j_n(kappa)."""
+    j_n(kappa).  Both recurrences run on their own arguments, one row per
+    order, and the rows are scattered into the result once; the result is
+    a view of that order-major array."""
     if nmax > MAX_GAUSS_ORDER:
         raise ValueError(f"spherical_jn needs nmax <= {MAX_GAUSS_ORDER}, got {nmax}")
     k = np.asarray(kappa, dtype=float)
     x = np.abs(k).ravel()
     if not np.all(x >= 1.0):
         raise ValueError("spherical_jn needs |kappa| >= 1")
-    out = np.empty((x.size, nmax + 1))
-    n = np.arange(nmax + 1)
+    out = np.empty((nmax + 1, x.size))
 
     up = x > nmax
     if up.any():
         xu = x[up]
+        rows = np.empty((nmax + 1, xu.size))
         s, c = np.sin(xu), np.cos(xu)
-        out[up, 0] = s / xu
+        rows[0] = s / xu
         if nmax >= 1:
-            out[up, 1] = (s / xu - c) / xu
+            rows[1] = (s / xu - c) / xu
+        ratios = (2 * np.arange(nmax) + 1)[:, None] / xu     # row m: (2m+1)/kappa
         for m in range(1, nmax):
-            out[up, m + 1] = (2 * m + 1) / xu * out[up, m] - out[up, m - 1]
+            np.multiply(ratios[m], rows[m], out=rows[m + 1])
+            rows[m + 1] -= rows[m - 1]
+        out[:, up] = rows
 
     mid = ~up
     if mid.any():
         xm = x[mid]
         top = 2 * nmax + 40
         f_next, f = np.zeros_like(xm), np.ones_like(xm)
-        vals = np.empty((xm.size, nmax + 2))
-        for m in range(top, 0, -1):
-            if m <= nmax + 1:
-                vals[:, m] = f
+        for m in range(top, nmax + 1, -1):
             f_next, f = f, (2 * m + 1) / xm * f - f_next
-        vals[:, 0] = f
+        # rows nmax + 1 and nmax + 2 hold the last two values, and the rest
+        # of the way down runs in place on the rows
+        rows = np.empty((nmax + 3, xm.size))
+        rows[nmax + 1], rows[nmax + 2] = f, f_next
+        ratios = (2 * np.arange(nmax + 2) + 1)[:, None] / xm   # row m: (2m+1)/kappa
+        for m in range(nmax + 1, 0, -1):
+            np.multiply(ratios[m], rows[m], out=rows[m - 1])
+            rows[m - 1] -= rows[m + 1]
         s, c = np.sin(xm), np.cos(xm)
         j0, j1 = s / xm, (s / xm - c) / xm
         use0 = np.abs(j0) >= np.abs(j1)
-        scale = np.where(use0, j0 / vals[:, 0], j1 / vals[:, 1])
-        out[mid] = vals[:, : nmax + 1] * scale[:, None]
+        scale = np.where(use0, j0 / rows[0], j1 / rows[1])
+        out[:, mid] = rows[: nmax + 1] * scale
 
-    out[(k < 0).ravel()] *= (-1.0) ** n
-    return out.reshape(k.shape + (nmax + 1,))
+    negative = (k < 0).ravel()
+    if negative.any():
+        out[1::2, negative] *= -1.0
+    return out.T.reshape(k.shape + (nmax + 1,))
+
+
+def _legendre_rows(x: np.ndarray, order: int) -> np.ndarray:
+    """P_0 .. P_(order-1) at the points ``x``, one row each, by
+    n P_n = (2n-1) x P_(n-1) - (n-1) P_(n-2) (the operation order of
+    numpy's ``legvander``, whose values these are bit for bit)."""
+    rows = np.empty((order, x.size))
+    rows[0] = x * 0 + 1
+    if order > 1:
+        rows[1] = x
+    for n in range(2, order):
+        rows[n] = (rows[n - 1] * x * (2 * n - 1) - rows[n - 2] * (n - 1)) / n
+    return rows
+
+
+_I_POWERS = np.array([1.0, 1j, -1.0, -1j])
 
 
 @lru_cache(maxsize=16)
-def _filon_basis(order: int):
-    """(2n+1) i^n P_n(x_j) for the Gauss nodes x_j of ``order``, shape
-    (n, j) with n < order."""
-    x, _ = gauss_rule(order)
-    n = np.arange(order)
-    powers = np.array([1.0, 1j, -1.0, -1j])[n % 4]
-    return (2.0 * n + 1.0)[:, None] * powers[:, None] * np.polynomial.legendre.legvander(x, order - 1).T
+def _filon_basis(order: int) -> np.ndarray:
+    """The moments a panel's Filon sums need, as rows against the Gauss
+    nodes x_j and weights w_j of ``order``: w_j x_j^n for n <
+    TAYLOR_TERMS, then (2n+1) w_j P_n(x_j) for n < ``order``; read-only."""
+    x, w = gauss_rule(order)
+    n = np.arange(order)[:, None]
+    table = np.concatenate([w * x ** np.arange(TAYLOR_TERMS)[:, None],
+                            (2.0 * n + 1.0) * _legendre_rows(x, order) * w])
+    table.flags.writeable = False
+    return table
+
+
+def _filon_panels(mid: np.ndarray, half: np.ndarray):
+    """Midpoints and half-widths of a rule's panels, flat, and the
+    Taylor factors i^n h^n / n! of each panel (rows n < TAYLOR_TERMS,
+    one column per panel)."""
+    mid, half = mid.ravel(), half.ravel()
+    steps = half / np.arange(1, TAYLOR_TERMS)[:, None]
+    taylor = np.cumprod(np.vstack([np.ones_like(half), steps]), axis=0)
+    return mid, half, _I_POWERS[np.arange(TAYLOR_TERMS) % 4, None] * taylor
+
+
+def _real_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for a real matrix ``a`` and a real or complex matrix ``b``,
+    without promoting ``a`` to complex."""
+    if not np.iscomplexobj(b):
+        return a @ b
+    b = np.ascontiguousarray(b)
+    return (a @ b.view(float)).view(complex)
 
 
 def filon_gauss(lo: float, hi: float, npanels: int, order: int, omega) -> np.ndarray:
     """Filon-Legendre weights W_j on the nodes of ``panel_gauss``: sum_j W_j
     F(x_j) = int_lo^hi F(x) e^(i omega x) dx for F a polynomial of degree
-    < ``order`` on each panel, whatever omega.
+    < ``order`` on each panel, whatever omega.  They are the Filon sums
+    (`_filon_sums`) of the identity, one row of weights per entry of
+    ``omega``, shape ``omega.shape + (nodes,)``.  At omega = 0 they are the
+    Gauss weights, bit for bit.  Orders above MAX_GAUSS_ORDER raise
+    ValueError."""
+    return _filon_sums(_filon_panels(*_panels(lo, hi, npanels)), order, omega, np.eye(npanels * order))
 
-    On a panel with midpoint m and half-width h where kappa = |omega| h is at
-    least ``SLOW_PANEL``,
 
-        W_j = h e^(i omega m) w_j sum_(n < order) (2n+1) i^n j_n(omega h) P_n(x_j),
+def _filon_sums(panels, order: int, omega, values: np.ndarray) -> np.ndarray:
+    """sum_j W_j(omega) values[j, ...] for each entry of ``omega``, with the
+    Filon weights W_j of `filon_gauss` on the ``panels`` of `_filon_panels`
+    (nodes panel by panel, ``order`` to a panel), shape ``omega.shape +
+    values.shape[1:]``.  The weights are never formed.
+
+    On a panel with midpoint m, half-width h and Gauss nodes x_j, weights
+    w_j, the sum is h e^(i omega m) S(omega), and with kappa = omega h
+
+        S = sum_j w_j e^(i kappa x_j) R_j
+          = sum_(n < order) j_n(kappa) [(2n+1) i^n sum_j w_j P_n(x_j) R_j]
 
     from e^(i kappa x) = sum_n (2n+1) i^n j_n(kappa) P_n(x) (Iserles and
-    Norsett 2005).  On a slower panel the carrier hardly turns, and the Gauss
-    weights times the carrier at the nodes, W_j = h w_j e^(i omega x_j), are
-    exact to about kappa^(order+1) / (2 order)!.  An array of omegas gives
-    one row of weights each, shape ``omega.shape + (nodes,)``.  At omega = 0
-    they are the Gauss weights, bit for bit.  Orders above MAX_GAUSS_ORDER
-    raise ValueError."""
-    return _filon_weights(*_panels(lo, hi, npanels), order, omega)
+    Norsett 2005).  Where |kappa| < SLOW_PANEL the carrier hardly turns,
+    and the Gauss weights times the carrier (exact to about
+    kappa^(order+1) / (2 order)!) are taken by the carrier's Taylor series,
 
+        S = sum_(n < TAYLOR_TERMS) omega^n [i^n h^n / n! sum_j w_j x_j^n R_j],
 
-def _filon_weights(mid: np.ndarray, half: np.ndarray, order: int, omega) -> np.ndarray:
-    """`filon_gauss` weights on the panels with these midpoint and half-width
-    columns, panel by panel, for each entry of ``omega``."""
+    cut where |kappa|^n / n! < 4e-19.  The brackets do not depend on omega:
+    each panel's moments are one product with `_filon_basis`, the slow
+    panels of all omegas one product of the powers omega^n with the
+    brackets, and only the fast panels evaluate Bessel rows
+    (`spherical_jn`).  A call costs one phase per (omega, panel)."""
     if order > MAX_GAUSS_ORDER:
         raise ValueError(f"Filon weights need order <= {MAX_GAUSS_ORDER}, got {order}")
-    x, w = gauss_rule(order)
+    mid, half, taylor = panels
     omega = np.asarray(omega, dtype=float)
-    om = omega.reshape(-1, 1, 1)
-    kappa = om[..., 0] * half[:, 0]
+    om = omega.reshape(-1, 1)
+    npanels = half.size
+    # column c, node j, panel p; the moments are (c, n, p)
+    by_column = np.ascontiguousarray(np.reshape(values, (npanels, order, -1)).T)
+    moments = _real_matmul(_filon_basis(order), by_column)
+
+    kappa = om * half
     fast = np.abs(kappa) >= SLOW_PANEL
-    # the carrier's phase at each node of a slow panel, at the midpoint of a fast one
-    arg = om * (mid + half * x)
-    arg[fast] = (om * mid)[fast]
-    weights = np.empty(arg.shape, dtype=complex)
-    np.cos(arg, out=weights.real)
-    np.sin(arg, out=weights.imag)
-    weights *= half * w
+    slow_rows = ~fast.all(axis=1)
+    sums = np.empty((by_column.shape[0], om.size, npanels), dtype=complex)
+    if slow_rows.any():
+        brackets = taylor * moments[:, :TAYLOR_TERMS]
+        # the fast panels of these rows get the series far outside its range:
+        # garbage, overwritten below
+        with np.errstate(over="ignore", invalid="ignore"):
+            powers = np.vander(om[slow_rows, 0], TAYLOR_TERMS, increasing=True)
+            sums[:, slow_rows] = _real_matmul(powers, brackets)
     if fast.any():
-        weights[fast] *= spherical_jn(order - 1, kappa[fast]) @ _filon_basis(order)
-    return weights.reshape(omega.shape + (-1,))
+        coeffs = _I_POWERS[np.arange(order) % 4, None] * moments[:, TAYLOR_TERMS:]
+        parts = np.concatenate([coeffs.real, coeffs.imag])          # (re c, im c), n, p
+        bessel = spherical_jn(order - 1, kappa[fast]).T              # n, pair
+        terms = np.einsum("nf,rnf->rf", bessel, parts[:, :, np.nonzero(fast)[1]])
+        sums.real[:, fast], sums.imag[:, fast] = terms[: len(sums)], terms[len(sums):]
+
+    arg = om * mid
+    phase = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=phase.real)
+    np.sin(arg, out=phase.imag)
+    phase *= half
+    totals = sums[:, :, None, :] @ phase[:, :, None]                 # (c, omega, 1, 1)
+    return totals[..., 0, 0].T.reshape(omega.shape + np.shape(values)[1:])
 
 
 def panel_count(freq: float, length: float, nodes_per_wavelength: float,
@@ -443,20 +531,25 @@ def radial_mesh(spec: QuadratureSpec, r_lo: float, r_hi: float, freq: float = 0.
     return mesh
 
 
-def radial_filon_weights(spec: QuadratureSpec, r_lo: float, r_hi: float, freq: float,
-                         omega) -> np.ndarray:
-    """`filon_gauss` weights for the factor e^(i omega rho) on the nodes of
-    ``radial_mesh(spec, r_lo, r_hi, freq)``, one row per entry of ``omega``;
-    ``freq`` then only has to cover what the rest of the integrand
-    oscillates."""
-    return _filon_weights(*_radial_panel_columns(spec, r_lo, r_hi, freq), spec.gauss_order, omega)
+def radial_filon_sums(spec: QuadratureSpec, r_lo: float, r_hi: float, freq: float,
+                      omega, values: np.ndarray) -> np.ndarray:
+    """Filon sums (`_filon_sums`) of ``values`` for the factor e^(i omega
+    rho) on the nodes of ``radial_mesh(spec, r_lo, r_hi, freq)``, one row
+    per entry of ``omega``: sum_j W_j(omega) values[j, ...] with the
+    `filon_gauss` weights W of the mesh's panels.  ``freq`` then only has
+    to cover what the rest of the integrand oscillates."""
+    return _filon_sums(_radial_filon_panels(spec, r_lo, r_hi, freq), spec.gauss_order, omega, values)
 
 
 @lru_cache(maxsize=32)
-def _radial_panel_columns(spec: QuadratureSpec, r_lo: float, r_hi: float, freq: float):
-    """Midpoint and half-width columns of the panels of `radial_mesh`."""
+def _radial_filon_panels(spec: QuadratureSpec, r_lo: float, r_hi: float, freq: float):
+    """The `_filon_panels` of the panels of `radial_mesh`, built once per
+    process and read-only."""
     panels = [_panels(a, b, n) for a, b, n in _radial_panels(spec, r_lo, r_hi, freq)]
-    return np.concatenate([m for m, _ in panels]), np.concatenate([h for _, h in panels])
+    tables = _filon_panels(np.concatenate([m for m, _ in panels]), np.concatenate([h for _, h in panels]))
+    for a in tables:
+        a.flags.writeable = False
+    return tables
 
 
 def angular_mesh(spec: QuadratureSpec, n_mu: int | None = None, n_phi: int | None = None):

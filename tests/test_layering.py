@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "softcone"
@@ -20,4 +21,11 @@ def test_no_intra_package_import_inside_a_function():
     paths = sorted(SRC.glob("*.py"))
     assert paths
     found = sorted({hit for path in paths for hit in _function_level_relative_imports(path)})
+    assert found == []
+
+
+def test_no_numpy_polynomial_in_the_package():
+    # every Legendre rule and basis comes from quadrature's own recurrences
+    use = re.compile(r"\bnp\.polynomial\b|from numpy\.polynomial|import numpy\.polynomial")
+    found = [path.name for path in sorted(SRC.glob("*.py")) if use.search(path.read_text())]
     assert found == []

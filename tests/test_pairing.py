@@ -351,14 +351,14 @@ def test_weyl_gram_entry_requests_one_filon_row_per_cos_theta_node(quad, monkeyp
     rng = np.random.default_rng(3)
     leaves = [photon_wavefunction(studies._random_label(rng)) for _ in range(3)]
     entries = [(0, 1), (1, 2), (2, 0)]
-    real = pairing.radial_filon_weights
+    real = pairing.radial_filon_sums
     requested = {}
 
-    def spy(spec, r_lo, r_hi, freq, omega):
+    def spy(spec, r_lo, r_hi, freq, omega, values):
         requested[spec] = requested.get(spec, 0) + np.size(omega)
-        return real(spec, r_lo, r_hi, freq, omega)
+        return real(spec, r_lo, r_hi, freq, omega, values)
 
-    monkeypatch.setattr(pairing, "radial_filon_weights", spy)
+    monkeypatch.setattr(pairing, "radial_filon_sums", spy)
     gram(leaves, entries, q)
     meshes = pairing._meshes(q, leaves, entries)
     assert set(requested) == {mesh.radial_rule[0] for mesh in meshes}

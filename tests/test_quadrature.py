@@ -22,7 +22,7 @@ from softcone.quadrature import (
     kernel_matvec,
     panel_count,
     panel_gauss,
-    radial_filon_weights,
+    radial_filon_sums,
     radial_mesh,
     sinc_matvec,
     spherical_jn,
@@ -409,6 +409,41 @@ def test_spherical_jn_matches_scipy():
     assert np.max(np.abs(got - want)[nonzero] / np.abs(want[nonzero])) <= 1e-11
 
 
+def _spherical_jn_by_argument(nmax, kappa):
+    """spherical_jn's two recurrences written one argument-row at a time,
+    with the same operations: the reference its order-major form must
+    match bit for bit."""
+    x = np.abs(kappa)
+    out = np.empty((x.size, nmax + 1))
+    for i, xi in enumerate(x):
+        s, c = np.sin(xi), np.cos(xi)
+        if xi > nmax:
+            out[i, 0], out[i, 1] = s / xi, (s / xi - c) / xi
+            for m in range(1, nmax):
+                out[i, m + 1] = (2 * m + 1) / xi * out[i, m] - out[i, m - 1]
+        else:
+            f_next, f = 0.0, 1.0
+            vals = np.empty(nmax + 2)
+            for m in range(2 * nmax + 40, 0, -1):
+                if m <= nmax + 1:
+                    vals[m] = f
+                f_next, f = f, (2 * m + 1) / xi * f - f_next
+            vals[0] = f
+            j0, j1 = s / xi, (s / xi - c) / xi
+            scale = j0 / vals[0] if abs(j0) >= abs(j1) else j1 / vals[1]
+            out[i] = vals[: nmax + 1] * scale
+        if kappa[i] < 0:
+            out[i] *= (-1.0) ** np.arange(nmax + 1)
+    return out
+
+
+@pytest.mark.parametrize("nmax", [15, MAX_GAUSS_ORDER])
+def test_spherical_jn_matches_its_one_argument_reference_bit_for_bit(nmax):
+    kappa = np.concatenate([np.geomspace(1.0, 200.0, 397), [float(nmax), nmax + 1e-9, 1.0]])
+    kappa = np.concatenate([kappa, -kappa[::3]])
+    assert np.array_equal(spherical_jn(nmax, kappa), _spherical_jn_by_argument(nmax, kappa))
+
+
 @pytest.mark.parametrize("kappa", [0.0, 1e-8, 0.5, -0.5])
 def test_spherical_jn_rejects_arguments_below_its_domain(kappa):
     # the downward recurrence overflows near 0, so these used to come back
@@ -443,7 +478,7 @@ def test_filon_weights_are_gauss_weights_at_zero_frequency():
         assert not np.any(got.imag)
     q = QuadratureSpec()
     _, w = radial_mesh(q, 1e-8, 40.0, 3.0)
-    assert np.array_equal(radial_filon_weights(q, 1e-8, 40.0, 3.0, 0.0), w)
+    assert np.array_equal(radial_filon_sums(q, 1e-8, 40.0, 3.0, 0.0, np.eye(w.size)), w)
 
 
 def test_filon_weights_take_an_array_of_frequencies():
@@ -458,11 +493,12 @@ def test_filon_weights_take_an_array_of_frequencies():
     assert np.array_equal(got[0], panel_gauss(1e-3, 2.0, 5, 16)[1].astype(complex))
     q = QuadratureSpec()
     _, w = radial_mesh(q, 1e-8, 40.0, 3.0)
-    rows = radial_filon_weights(q, 1e-8, 40.0, 3.0, omegas.reshape(2, 3))
+    identity = np.eye(w.size)
+    rows = radial_filon_sums(q, 1e-8, 40.0, 3.0, omegas.reshape(2, 3), identity)
     assert rows.shape == (2, 3, w.size)
     assert np.array_equal(rows[0, 0], w.astype(complex))
     for omega, row in zip(omegas, rows.reshape(omegas.size, -1)):
-        one = radial_filon_weights(q, 1e-8, 40.0, 3.0, omega)
+        one = radial_filon_sums(q, 1e-8, 40.0, 3.0, omega, identity)
         assert np.max(np.abs(row - one)) <= 1e-15 * np.max(np.abs(one))
 
 
@@ -510,9 +546,85 @@ def test_filon_weights_integrate_oscillating_monomials():
 
 def test_filon_check_fails_with_gauss_form_on_turning_panels(monkeypatch):
     # negative control: with the slow-panel threshold at 20, the panel at
-    # omega = 10 (kappa = 10) takes Gauss weights times the carrier
+    # omega = 10 (kappa = 10) takes the carrier's Taylor series, whose
+    # TAYLOR_TERMS terms are far too few there (10^20 / 20! is about 41)
     monkeypatch.setattr(quadrature, "SLOW_PANEL", 20.0)
     assert _worst_monomial_error(-0.5, 1.5) > 1e-13
+
+
+def _filon_oracle_error():
+    """Worst error of `radial_filon_sums` on a graded rule of 9 panels,
+    relative to sum |W| |R| and in units of its bound, against Filon
+    weights written out here (Gauss weights times the carrier where
+    |omega| h < SLOW_PANEL, the Bessel-moment form with scipy's j_n and
+    numpy's Legendre basis on the rest; bound 1e-14) and against
+    150-digit moments of the monomial columns.  Those bound the error by
+    1e-14 or by 8 eps |omega| r_hi, whichever is larger: the phases omega
+    rho of the rule are themselves rounded by about eps |omega rho| (at
+    |omega| = 1e4 the written-out weights miss the moments by 5.3e-13 as
+    well).  The omegas put panels just below and just above SLOW_PANEL,
+    both signs, and reach 0 and 1e4."""
+    special = pytest.importorskip("scipy.special")
+    q = QuadratureSpec(panels_per_decade=3)
+    lo, hi = 0.01, 6.0
+    rho, _ = radial_mesh(q, lo, hi, 0.0)
+    panels = [(a, b) for a, b, nsub in quadrature._radial_panels(q, lo, hi, 0.0)]
+    assert len(panels) == 9 and all(nsub == 1 for *_, nsub in quadrature._radial_panels(q, lo, hi, 0.0))
+    x, w = np.polynomial.legendre.leggauss(16)
+    basis = (2 * np.arange(16) + 1)[:, None] * np.polynomial.legendre.legvander(x, 15).T
+    h3, h7 = 0.5 * (panels[3][1] - panels[3][0]), 0.5 * (panels[7][1] - panels[7][0])
+    omegas = [0.0, 0.9999 / h3, -1.0001 / h3, 1.0001 / h7, -0.9999 / h7, 3.7, 1e4, -1e4]
+    powers = (0, 3, 7, 15)
+    values = np.stack([rho**k for k in powers] + [(1.0 - 2.0j) * np.cos(rho) * rho], axis=1)
+    got = radial_filon_sums(q, lo, hi, 0.0, np.array(omegas), values)
+    worst = 0.0
+    for omega, row in zip(omegas, got):
+        weights = []
+        for a, b in panels:
+            m, h = 0.5 * (a + b), 0.5 * (b - a)
+            if abs(omega) * h < quadrature.SLOW_PANEL:
+                weights.append(h * w * np.exp(1j * omega * (m + h * x)))
+            else:
+                jn = special.spherical_jn(np.arange(16), omega * h)
+                weights.append(h * np.exp(1j * omega * m) * w * ((1j ** np.arange(16) * jn) @ basis))
+        weights = np.concatenate(weights)
+        l1 = np.abs(weights) @ np.abs(values)
+        worst = max(worst, float(np.max(np.abs(row - weights @ values) / l1)) / 1e-14)
+        exact = _monomial_moments(lo, hi, omega, max(powers))
+        bound = max(1e-14, 8 * np.finfo(float).eps * abs(omega) * hi)
+        for col, k in enumerate(powers):
+            worst = max(worst, abs(row[col] - exact[k]) / l1[col] / bound)
+    return worst
+
+
+def test_filon_sums_match_written_out_weights_and_exact_moments():
+    assert _filon_oracle_error() <= 1.0
+
+
+@pytest.fixture
+def fresh_filon_tables():
+    # the per-order and per-rule tables are cached with the series length
+    # they were built with
+    def clear():
+        quadrature._filon_basis.cache_clear()
+        quadrature._radial_filon_panels.cache_clear()
+    clear()
+    yield
+    clear()
+
+
+def test_filon_oracle_check_fails_with_a_short_taylor_series(monkeypatch, fresh_filon_tables):
+    # negative control: 8 terms leave up to kappa^8 / 8! (2.5e-5) on the
+    # slow panels just below SLOW_PANEL
+    monkeypatch.setattr(quadrature, "TAYLOR_TERMS", 8)
+    assert _filon_oracle_error() > 1e4
+
+
+def test_legendre_rows_are_legvander_bit_for_bit():
+    for order in (10, 16):
+        x, _ = gauss_rule(order)
+        assert np.array_equal(quadrature._legendre_rows(x, order),
+                              np.polynomial.legendre.legvander(x, order - 1).T)
 
 
 def test_filon_check_fails_without_panel_phase():
