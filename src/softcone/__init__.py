@@ -13,7 +13,6 @@ from .geometry import (
     DoubleCone,
     Point4,
     causally_separated,
-    contains,
     double_cone_in_cone,
 )
 from .pairing import (

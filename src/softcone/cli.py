@@ -216,6 +216,13 @@ def _validate_study(where: str, entry: dict, params: DressingParams, fields: dic
     velocities = []
     if name == "ir-divergence":
         velocities = [("speeds", j, (0.0, 0.0, v)) for j, v in enumerate(opts["speeds"])]
+        # two speeds with one CSV name would write one file for two tables
+        names = [studies.IR_DIVERGENCE_CSV.format(float(v)) for v in opts["speeds"]]
+        for j, fname in enumerate(names):
+            i = names.index(fname)
+            if i < j:
+                raise ConfigError(f"{where}.speeds[{j}]: speed {opts['speeds'][j]!r} writes "
+                                  f"{fname}, as speeds[{i}] = {opts['speeds'][i]!r} does")
     elif name == "superselection-slope":
         velocities = [("pairs", j, w) for j, pair in enumerate(opts["pairs"]) for w in pair]
     for key, j, w in velocities:

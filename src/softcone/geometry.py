@@ -1,7 +1,7 @@
 """Spacetime regions and causal predicates.
 
 Double cones and open forward/backward lightcones with exact closed-form
-containment and separation tests (no sampling), natural units c = 1.
+inclusion and separation tests (no sampling), natural units c = 1.
 All regions are open; boundary points count as outside.
 """
 from __future__ import annotations
@@ -53,18 +53,6 @@ class ConeRegion:
     def __post_init__(self):
         if self.orientation not in ("forward", "backward"):
             raise ValueError("orientation must be 'forward' or 'backward'")
-
-
-def contains(region, p: Point4) -> bool:
-    """True iff p lies in the open region."""
-    if isinstance(region, DoubleCone):
-        c = region.center
-        return abs(p.t - c.t) + float(np.linalg.norm(p.x - c.x)) < region.radius
-    if isinstance(region, ConeRegion):
-        a = region.apex
-        dt = p.t - a.t if region.orientation == "forward" else a.t - p.t
-        return dt > float(np.linalg.norm(p.x - a.x))
-    raise TypeError(f"unsupported region type: {type(region)!r}")
 
 
 def double_cone_in_cone(dc: DoubleCone, cone: ConeRegion) -> bool:

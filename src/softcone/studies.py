@@ -140,6 +140,9 @@ def _slope_check(tag: str, slope: float, oracle: float, zero: bool, rtol: float)
                   abs(slope - oracle) <= rtol * oracle)
 
 
+IR_DIVERGENCE_CSV = "ir-divergence-v{:g}.csv"  # of one float speed
+
+
 def ir_divergence(params, quadrature, fields, opts):
     opts = with_defaults("ir-divergence", opts)
     grid = sorted((float(s) for s in opts["sigma_grid"]), reverse=True)
@@ -153,7 +156,7 @@ def ir_divergence(params, quadrature, fields, opts):
         checks.append(_slope_check(f"v={speed:g}", slope, oracle, speed == 0.0,
                                    float(opts["slope_rtol"])))
         rows.append({"speed": speed, "slope": slope, "oracle": oracle})
-        csvs[f"ir-divergence-v{speed:g}.csv"] = (("sigma_lo", "shell_norm", "err"), table)
+        csvs[IR_DIVERGENCE_CSV.format(speed)] = (("sigma_lo", "shell_norm", "err"), table)
     return rows, checks, csvs
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from softcone import cli, profiles, quadrature, studies
+from softcone import cli, quadrature, studies
 from softcone.errors import SoftconeError
 from softcone.pairing import build_mesh
 from softcone.quadrature import QuadratureSpec
@@ -221,6 +221,26 @@ def test_locality_rows_report_their_node_count(tmp_path):
     assert "node_count" not in header
 
 
+def test_speeds_with_one_csv_name_rejected(tmp_path, capsys):
+    text = (MINI_CONFIG.split("studies:")[0]
+            + "studies:\n  - name: ir-divergence\n    speeds: [0.1, 0.3, 0.3000001]\n")
+    assert cli.run(write_config(tmp_path, text), str(tmp_path / "o")) == 2
+    assert ("studies[0].speeds[2]: speed 0.3000001 writes ir-divergence-v0.3.csv, "
+            "as speeds[1] = 0.3 does") in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_negative_speed_runs_against_the_oracle_of_its_magnitude(tmp_path):
+    # a speed on the negative 3-axis is a velocity with |w| <= v_max
+    text = (MINI_CONFIG.split("studies:")[0] + "studies:\n  - name: ir-divergence\n"
+            "    speeds: [-0.3, 0.3]\n    sigma_grid: [1.0e-2, 1.0e-4]\n")
+    assert cli.run(write_config(tmp_path, text), str(tmp_path / "o")) == 0
+    (study,) = json.loads((tmp_path / "o" / "report.json").read_text())["studies"]
+    assert [c["passed"] for c in study["checks"]] == [True, True]
+    assert study["rows"][0]["oracle"] == study["rows"][1]["oracle"]
+    assert study["csv_files"] == ["ir-divergence-v-0.3.csv", "ir-divergence-v0.3.csv"]
+
+
 def test_lightlike_velocity_rejected_at_parse_time(tmp_path, capsys):
     path = write_config(tmp_path, "params:\n  w: [0.0, 0.0, 1.0]\n")
     rc = cli.run(path, str(tmp_path / "o"))
@@ -420,13 +440,15 @@ OFFSET_FIELD = """\
         ("  - name: wave-appendix\n    t_list: [0.0, .nan]\n", "t_list"),
         ("  - name: ir-divergence\n    speeds: [.nan]\n", "speeds"),
         ("  - name: ir-divergence\n    slope_rtol: .nan\n", "slope_rtol"),
+        # both speeds would write ir-divergence-v0.3.csv
+        ("  - name: ir-divergence\n    speeds: [0.3, 0.3000001]\n", "speeds[1]"),
     ],
     ids=["null-T_list", "word-in-sigma_grid", "one-decay-time", "short-velocity", "scalar-t_list",
          "empty-t_list", "one-time-t_list", "one-distinct-time-t_list", "n_labels-as-string",
          "speed-above-v_max", "pair-above-v_max", "t_list-of-a-million", "t_list-of-ten",
          "halving-t_list-of-2.5", "negative-seed", "fractional-seed", "bj_field-without-magnetic-term",
          "bj_field-off-origin", "infinite-window", "infinite-limit-T-window", "infinite-t_list",
-         "nan-in-t_list", "nan-speed", "nan-slope_rtol"],
+         "nan-in-t_list", "nan-speed", "nan-slope_rtol", "speeds-with-one-csv-name"],
 )
 def test_malformed_list_option_rejected(tmp_path, capsys, study, key):
     head = MINI_CONFIG.split("studies:")[0].replace("fields:\n", "fields:\n" + OFFSET_FIELD)
@@ -511,7 +533,6 @@ def test_malformed_parameter_block_rejected(tmp_path, capsys, block, where, monk
         raise AssertionError(f"a Gauss rule of order {order} was built")
 
     monkeypatch.setattr(quadrature, "gauss_rule", never)
-    monkeypatch.setattr(profiles, "gauss_rule", never)
     text = block + "studies:\n  - name: difference-norm\n"
     rc = cli.run(write_config(tmp_path, text), str(tmp_path / "o"))
     assert rc == 2

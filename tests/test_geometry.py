@@ -6,33 +6,8 @@ from softcone.geometry import (
     DoubleCone,
     Point4,
     causally_separated,
-    contains,
     double_cone_in_cone,
 )
-
-
-def test_double_cone_contains_center_not_boundary():
-    dc = DoubleCone(Point4(0.0, (1.0, 0.0, 0.0)), 2.0)
-    assert contains(dc, Point4(0.0, (1.0, 0.0, 0.0)))
-    assert contains(dc, Point4(0.5, (1.0, 0.0, 1.0)))
-    # boundary |dt| + |dx| == r is outside (open region)
-    assert not contains(dc, Point4(2.0, (1.0, 0.0, 0.0)))
-    assert not contains(dc, Point4(0.0, (3.0, 0.0, 0.0)))
-
-
-def test_forward_cone_membership():
-    v_plus = ConeRegion("forward")
-    assert contains(v_plus, Point4(1.0, (0.0, 0.0, 0.5)))
-    assert not contains(v_plus, Point4(1.0, (0.0, 0.0, 1.5)))
-    assert not contains(v_plus, Point4(-1.0, (0.0, 0.0, 0.0)))
-    # lightlike boundary excluded
-    assert not contains(v_plus, Point4(1.0, (0.0, 0.0, 1.0)))
-
-
-def test_backward_cone_is_time_reflected_forward():
-    v_minus = ConeRegion("backward")
-    assert contains(v_minus, Point4(-2.0, (0.0, 1.0, 0.0)))
-    assert not contains(v_minus, Point4(2.0, (0.0, 1.0, 0.0)))
 
 
 def test_cone_region_rejects_bad_orientation():

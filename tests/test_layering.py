@@ -2,6 +2,8 @@ import ast
 import re
 from pathlib import Path
 
+from softcone import profiles, quadrature
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "softcone"
 
 
@@ -29,3 +31,15 @@ def test_no_numpy_polynomial_in_the_package():
     use = re.compile(r"\bnp\.polynomial\b|from numpy\.polynomial|import numpy\.polynomial")
     found = [path.name for path in sorted(SRC.glob("*.py")) if use.search(path.read_text())]
     assert found == []
+
+
+def test_slope_oracles_build_no_gauss_rule(monkeypatch):
+    # the soft factor is a closed form, independent of the Gauss rules of the
+    # pairings whose slopes it checks
+    def never(order):
+        raise AssertionError(f"a Gauss rule of order {order} was built")
+
+    assert not hasattr(profiles, "gauss_rule")
+    monkeypatch.setattr(quadrature, "gauss_rule", never)
+    assert profiles.angular_factor(0.3) > 0.0
+    assert profiles.pairwise_angular_factor((0.0, 0.0, 0.3), (0.2, 0.0, 0.1)) > 0.0

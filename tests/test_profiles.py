@@ -1,9 +1,12 @@
+import inspect
 import math
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.integrate
+from mpmath.calculus.quadrature import GaussLegendre
 
 from softcone import profiles
 from softcone.errors import PointSingularity
@@ -86,6 +89,83 @@ def test_pairwise_angular_factor_scipy_oracle():
     want, _ = scipy.integrate.dblquad(doppler_diff_sq, 0, 2 * math.pi, -1, 1,
                                       epsabs=1e-12, epsrel=1e-12)
     assert pairwise_angular_factor(tuple(w), tuple(wp)) == pytest.approx(want, rel=1e-8)
+
+
+@pytest.mark.parametrize("w, wp", [((0.0, 0.0, 1.0), (0.0, 0.0, 0.0)),
+                                   ((0.0, 0.0, 0.3), (1.5, 0.0, 0.0)),
+                                   ((0.0, 0.0, 0.3), (0.0, math.nan, 0.0))])
+def test_pairwise_angular_factor_refuses_a_velocity_outside_the_cone(w, wp):
+    # the solid-angle integral diverges at |w| = 1
+    with pytest.raises(ValueError, match=r"\|w\| < 1"):
+        pairwise_angular_factor(w, wp)
+
+
+SOFT_FACTOR_RTOL = 1e-13
+
+
+def _solid_angle_reference(w, wp):
+    """int dOmega |P_tr(w/D - w'/D')|^2, D = 1 - khat.w, in 30-digit mpmath,
+    for w and w' in the x-z plane: the integrand is even in phi, so the
+    trapezoid rule on [0, pi] (exponentially convergent for a smooth periodic
+    integrand) times mpmath's Gauss-Legendre rule in mu.  Both errors fall
+    like e^(-2 a n) in their n nodes over [0, pi] or [-1, 1], where
+    a = arccosh(1/max(|w|, |w'|)) measures how far the Doppler poles stay from
+    the real axis; each n is taken with a n >= 20, and doubling both moves no
+    reference by more than 1e-17 relative."""
+    assert w[1] == 0.0 and wp[1] == 0.0
+    with mp.workdps(30):
+        rate = mp.acosh(1 / max(math.hypot(*w), math.hypot(*wp)))
+        level = next(m for m in range(3, 9) if 3 * 2 ** (m - 1) * rate >= 20)
+        n_phi = int(math.ceil(20 / rate))
+        wx, _, wz = map(mp.mpf, w)
+        vx, _, vz = map(mp.mpf, wp)
+        cosines = [mp.cospi(mp.mpf(j) / n_phi) for j in range(n_phi + 1)]
+        total = 0
+        for mu, weight in GaussLegendre(mp.mp).calc_nodes(level, mp.mp.prec):
+            sin_theta = mp.sqrt(1 - mu * mu)
+            row = 0
+            for j, c in enumerate(cosines):
+                kx = sin_theta * c
+                doppler, doppler_prime = 1 - kx * wx - mu * wz, 1 - kx * vx - mu * vz
+                ax, az = wx / doppler - vx / doppler_prime, wz / doppler - vz / doppler_prime
+                term = ax * ax + az * az - (kx * ax + mu * az) ** 2
+                row += term / 2 if j in (0, n_phi) else term
+            total += weight * row
+        return total * 2 * mp.pi / n_phi
+
+
+def _xz_pair(speed, speed_prime, angle, theta=0.4):
+    """w at polar angle theta and w' at theta + angle, both in the x-z plane."""
+    return ((speed * math.sin(theta), 0.0, speed * math.cos(theta)),
+            (speed_prime * math.sin(theta + angle), 0.0, speed_prime * math.cos(theta + angle)))
+
+
+@pytest.fixture(scope="module")
+def soft_references():
+    pairs = [_xz_pair(a, b, angle) for a in (0.3, 0.95) for b in (0.1, 0.6, 0.95)
+             for angle in (math.pi / 6, math.pi / 2, 5 * math.pi / 6)]
+    pairs += [((0.0, 0.0, 0.95), (0.0, 0.0, -0.95)),   # antiparallel, t = 0.9987
+              ((0.3, 0.0, 0.4), (0.3, 0.0, 0.4 + 1e-7)),  # 1e-7 apart
+              ((0.0, 0.0, 0.3), (0.0, 0.0, 0.0))]
+    return [(w, wp, _solid_angle_reference(w, wp)) for w, wp in pairs]
+
+
+def _worst_soft_factor_error(factor, references):
+    return max(float(abs(factor(w, wp) - ref) / ref) for w, wp, ref in references)
+
+
+def test_soft_factor_matches_the_solid_angle_integral(soft_references):
+    assert _worst_soft_factor_error(pairwise_angular_factor, soft_references) <= SOFT_FACTOR_RTOL
+    assert pairwise_angular_factor((0.3, 0.0, 0.4), (0.3, 0.0, 0.4)) == 0.0
+
+
+def test_soft_factor_check_fails_with_the_gap_one_percent_off(soft_references):
+    # negative control: the formula with (1 - w.w') taken 1 % high
+    source = inspect.getsource(pairwise_angular_factor)
+    assert source.count("(1.0 - wa @ wb)") == 1
+    namespace = dict(vars(profiles))
+    exec(source.replace("(1.0 - wa @ wb)", "(1.01 * (1.0 - wa @ wb))"), namespace)
+    assert _worst_soft_factor_error(namespace["pairwise_angular_factor"], soft_references) > SOFT_FACTOR_RTOL
 
 
 # ---------------------------------------------------------------- shell norms
