@@ -285,9 +285,9 @@ def _carrier_sums(mesh: _Mesh, khat, parts, entries):
     the frame they are summed in share its Filon weights.  The L1 mass is
     taken on the mesh either way: that of an entry with one
     pair is a radial sum times an angular sum; any other entry forms its
-    integrand in blocks of angular nodes, each carrier difference with its
-    phase relative to the entry's first.  A mesh that does not report the
-    mass (``reports_mass``) returns None for it."""
+    integrand once per distinct angular column (`_l1_mass`), each carrier
+    difference with its phase relative to the entry's first.  A mesh that
+    does not report the mass (``reports_mass``) returns None for it."""
     rho2 = mesh.rho * mesh.rho
     dots = {}
     pairs = [_part_pairs(mesh, khat, parts[i], parts[j], dots) for i, j in entries]
@@ -318,13 +318,18 @@ def _carrier_sums(mesh: _Mesh, khat, parts, entries):
 
 
 def _l1_mass(mesh: _Mesh, khat, pairs, step: int) -> float:
-    """Gauss sum of |sum of the pairs' integrands| over the mesh, in blocks
-    of ``step`` angular nodes.  Each integrand carries its phase relative to
-    the first pair's carrier difference: the part that does not depend on
-    the direction goes into its radial factor, so pairs that share a
-    difference c form one matrix product and one phase per node.  Each block
-    starts from the first class's term, whose phase is 1; every other class
-    differs from it in c."""
+    """Gauss sum of |sum of the pairs' integrands| over the mesh.  Each
+    integrand carries its phase relative to the first pair's carrier
+    difference: the part that does not depend on the direction goes into its
+    radial factor, so pairs that share a difference c form one matrix product
+    and one phase per node.  The first class's term has phase 1; every other
+    class differs from it in c.
+
+    At an angular node the integrand depends on the node only through each
+    class's angular factors and each other class's shift rate, so |g| is
+    formed once per distinct column of those (`_distinct_columns`; on-axis
+    velocities and probes repeat them across phi), in blocks of ``step``
+    columns, and each column counts as many times as nodes share it."""
     rho = mesh.rho
     ref0, ref = pairs[0].delta
     classes = {}
@@ -335,22 +340,37 @@ def _l1_mass(mesh: _Mesh, khat, pairs, step: int) -> float:
         offset = pair.delta[0] - ref0
         return pair.radial * np.exp(1j * rho * offset) if offset else pair.radial
 
-    stacks = [(carrier_difference((0.0, ref), (0.0, c)),
-               np.stack([relative(pair) for pair in group], axis=1),
+    stacks = [(np.stack([relative(pair) for pair in group], axis=1),
                np.stack([pair.angular for pair in group]))
-              for c, group in classes.items()]
-    total = 0.0
-    nodes = np.arange(mesh.ang_mu.size)
-    for start in range(0, nodes.size, step):
-        cols = nodes[start:start + step]
-        kh = tuple(k[cols] for k in khat)
-        g = (stacks[0][1] @ stacks[0][2][:, cols]).astype(complex, copy=False)
-        for shift, radials, angulars in stacks[1:]:
-            term = radials @ angulars[:, cols]
-            term *= _phases(rho, carrier_rate(shift, kh))
-            g += term
-        total += float(mesh.rho_weight @ np.abs(g).sum(axis=1))
-    return total
+              for group in classes.values()]
+    rates = [carrier_rate(carrier_difference((0.0, ref), (0.0, c)), khat) for c in list(classes)[1:]]
+    cols, counts = _distinct_columns(np.vstack(
+        [row for _, angulars in stacks for row in (angulars.real, angulars.imag)] + rates))
+    mass = np.zeros(rho.size)
+    for start in range(0, cols.size, step):
+        block = cols[start:start + step]
+        g = stacks[0][0] @ stacks[0][1][:, block]
+        for (radials, angulars), rate in zip(stacks[1:], rates):
+            term = radials @ angulars[:, block]
+            term *= _phases(rho, rate[block])
+            term += g
+            g = term
+        mass += np.abs(g) @ counts[start:start + step]
+    return float(mesh.rho_weight @ mass)
+
+
+def _distinct_columns(key: np.ndarray):
+    """The first index of each distinct column of ``key``, by exact equality
+    (no tolerance), in ascending order, and how many columns equal each."""
+    order = np.lexsort(key)
+    ranked = key[:, order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = np.any(ranked[:, 1:] != ranked[:, :-1], axis=0)
+    starts = np.flatnonzero(first)
+    counts = np.diff(np.append(starts, order.size))
+    cols = order[starts]
+    ascending = np.argsort(cols)
+    return cols[ascending], counts[ascending].astype(float)
 
 
 def _phases(rho: np.ndarray, rate: np.ndarray) -> np.ndarray:

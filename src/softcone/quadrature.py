@@ -461,7 +461,8 @@ class QuadratureSpec:
         if not (0 < self.r_min < self.r_max):
             raise ValueError("need 0 < r_min < r_max")
         counts = (self.panels_per_decade, self.gauss_order, self.n_cos_theta, self.n_phi)
-        if not all(isinstance(n, numbers.Integral) for n in counts):
+        # bool is an Integral, but true is no node count
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) for n in counts):
             raise ValueError("panel, order and angular node counts must be integers")
         if self.panels_per_decade < 1 or self.gauss_order < 2:
             raise ValueError("panel/order counts too small")

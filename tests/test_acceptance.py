@@ -5,9 +5,11 @@ PASS/FAIL line with the measured value and its pinned tolerance.  The
 thresholds here are contractual: a red test means the property does not
 hold as stated, and the test must stay red rather than be loosened.
 """
+import inspect
+
 import numpy as np
 
-from softcone import cli, studies, wavecheck
+from softcone import cli, profiles, studies, wavecheck
 from softcone.geometry import DoubleCone, Point4
 from softcone.photon import transverse_project
 from softcone.profiles import profile_wavefunction, v_hat_T_direct
@@ -153,21 +155,38 @@ def test_c04_shell_norm_log_slope_matches_angular_oracle(params, quad):
     assert ok
 
 
+C05_PAIRS = [
+    [[0.0, 0.0, 0.3], [0.0, 0.0, 0.1]],
+    [[0.0, 0.0, 0.3], [0.1, 0.0, 0.0]],
+    [[0.0, 0.0, 0.2], [0.0, 0.0, 0.2]],
+]
+
+
 def test_c05_pairwise_divergence_slope(params, quad):
     # slope-matches-oracle also means slope > 0: the oracle is > 0 and rtol < 1
-    pairs = [
-        [[0.0, 0.0, 0.3], [0.0, 0.0, 0.1]],
-        [[0.0, 0.0, 0.3], [0.1, 0.0, 0.0]],
-        [[0.0, 0.0, 0.2], [0.0, 0.0, 0.2]],
-    ]
     rows, checks, _ = studies.superselection_slope(
-        params, quad, {}, {"pairs": pairs, "sigma_grid": SIGMA_GRID, "slope_rtol": 0.02}
+        params, quad, {}, {"pairs": C05_PAIRS, "sigma_grid": SIGMA_GRID, "slope_rtol": 0.02}
     )
     ok = all(c["passed"] for c in checks)
     details = [f"{row['w']}|{row['w_prime']} rel {c['value']:.2e}" for row, c in zip(rows[:2], checks)]
     details.append(f"equal velocities slope {rows[2]['slope']!r}")
     _line(5, ok, "pairwise divergence slopes (tol 2%, equal exact 0): " + "; ".join(details))
     assert ok
+
+
+def test_c05_negative_control_gap_one_percent_off(params, quad, monkeypatch):
+    # the oracle with (1 - w.w') taken 1 % high turns both unequal pairs red;
+    # they read about 2.06 % and 2.14 % against the 2 % bound, a thin margin
+    source = inspect.getsource(profiles.pairwise_angular_factor)
+    assert source.count("(1.0 - wa @ wb)") == 1
+    namespace = dict(vars(profiles))
+    exec(source.replace("(1.0 - wa @ wb)", "(1.01 * (1.0 - wa @ wb))"), namespace)
+    monkeypatch.setattr(profiles, "pairwise_angular_factor", namespace["pairwise_angular_factor"])
+    _, checks, _ = studies.superselection_slope(
+        params, quad, {}, {"pairs": C05_PAIRS[:2], "sigma_grid": SIGMA_GRID, "slope_rtol": 0.02}
+    )
+    assert [c["passed"] for c in checks] == [False, False]
+    assert all(0.02 < c["value"] < 0.03 for c in checks)
 
 
 def test_c06_difference_norm_square_integrable(params, quad):

@@ -517,12 +517,19 @@ def test_sigma_at_or_above_kappa_rejected(tmp_path, capsys, study, key):
         ("params:\n  g: {center: 0.5, halfwidth: 1.0}\n", "window profile must be radial"),
         # a Gauss rule of this order would build n^2 Legendre values
         ("quadrature:\n  gauss_order: 20000\n", "gauss_order must be at most"),
+        # bool is an Integral: true ran as 1 panel per decade or crashed in
+        # the angular mesh
+        ("quadrature:\n  n_phi: true\n", "counts must be integers"),
+        ("quadrature:\n  panels_per_decade: true\n", "counts must be integers"),
+        ("quadrature:\n  gauss_order: true\n", "counts must be integers"),
+        ("quadrature:\n  n_cos_theta: false\n", "counts must be integers"),
     ],
     ids=["g-without-halfwidth", "fractional-n_phi", "oscillation-aware-off",
          "unknown-quadrature-key", "unknown-params-key", "zero-g_scale", "zero-window-amplitude",
          "infinite-kappa", "infinite-window-halfwidth", "infinite-alpha", "infinite-u", "nan-in-w",
          "word-abs_tol", "word-phi_offset", "negative-rel_tol", "zero-tolerances",
-         "window-center", "huge-gauss_order"],
+         "window-center", "huge-gauss_order", "boolean-n_phi", "boolean-panels_per_decade",
+         "boolean-gauss_order", "boolean-n_cos_theta"],
 )
 def test_malformed_parameter_block_rejected(tmp_path, capsys, block, where, monkeypatch):
     # a missing key, a count that is not an integer, the removed Gauss-only

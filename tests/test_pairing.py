@@ -558,7 +558,10 @@ def _kernel_cases():
     # a profile with an oblique velocity against an electric and a magnetic
     # field; the two-key difference of two velocity sectors with itself; a
     # two-term field whose terms share a polarisation and one whose do not;
-    # sums and complex multiples of Weyl labels
+    # sums and complex multiples of Weyl labels; the difference of two
+    # on-axis sectors, whose integrand repeats across phi; an on-axis
+    # profile and field against a field centred off the 3-axis, whose
+    # angular factors repeat across phi but whose shift rates do not
     from softcone.geometry import DoubleCone, Point4
     from softcone.testfields import BumpProfile, SeparableTerm, TestFieldPair
 
@@ -583,6 +586,9 @@ def _kernel_cases():
     apart = two_terms((0.0, 1.0, 0.0), "magnetic")
     rng = np.random.default_rng(5)
     f, g = (photon_wavefunction(make_random_label(rng)) for _ in range(2))
+    on_axis = [profile_wavefunction(DressingParams(w=(0.0, 0.0, s)), "v_limit") for s in (0.3, 0.1)]
+    centred = photon_wavefunction(make_field(5.0, (0.0, 0.0, 0.0), radius=1.0))
+    off_axis = photon_wavefunction(make_field(5.0, (1.0, 0.0, 0.0), radius=1.0))
     return {
         "profile-vs-fields": ([v, elec, mag], [(0, 1), (0, 2)], None),
         # a real part (sharp profile) next to a complex one (local field)
@@ -590,6 +596,8 @@ def _kernel_cases():
                                       (1e-3, 1.0)),
         "two-term-fields": ([shared, apart], [(0, 0), (0, 1), (1, 1)], None),
         "weyl-labels": ([f + g, (f - g).scaled(-1j), f], [(0, 1), (1, 2), (0, 0)], None),
+        "on-axis-difference": ([on_axis[0] - on_axis[1]], [(0, 0)], (1e-3, 1.0)),
+        "off-axis-field": ([on_axis[0] + centred, off_axis + centred], [(0, 1)], None),
     }
 
 
@@ -609,10 +617,54 @@ def _worst_kernel_gap(quad, leaves, entries, r_bounds):
 
 
 @pytest.mark.parametrize("case", ["profile-vs-fields", "superselection-difference",
-                                  "two-term-fields", "weyl-labels"])
+                                  "two-term-fields", "weyl-labels", "on-axis-difference",
+                                  "off-axis-field"])
 def test_kernel_matches_three_component_reduction(quad, case):
     leaves, entries, r_bounds = _kernel_cases()[case]
     assert _worst_kernel_gap(quad, leaves, entries, r_bounds) <= 1e-13
+
+
+def _spy_distinct_columns(monkeypatch, drop_shift_rates=False):
+    """(columns in the key, distinct columns kept) of each L1 mass; with
+    ``drop_shift_rates`` the key holds the angular rows alone."""
+    seen, shifts = [], []
+    real_mass, real_distinct = pairing._l1_mass, pairing._distinct_columns
+
+    def mass(mesh, khat, pairs, step):
+        shifts.append(len({p.delta[1] for p in pairs}) - 1)
+        return real_mass(mesh, khat, pairs, step)
+
+    def distinct(key):
+        if drop_shift_rates:
+            key = key[:key.shape[0] - shifts[-1]]
+        cols, counts = real_distinct(key)
+        assert counts.sum() == key.shape[1]
+        seen.append((key.shape[1], cols.size))
+        return cols, counts
+
+    monkeypatch.setattr(pairing, "_l1_mass", mass)
+    monkeypatch.setattr(pairing, "_distinct_columns", distinct)
+    return seen
+
+
+def test_l1_mass_forms_the_integrand_once_per_distinct_column(quad, monkeypatch):
+    # an on-axis integrand repeats across phi, so the mass evaluates fewer
+    # columns than the mesh has; the off-axis field's shift rates keep more
+    seen = _spy_distinct_columns(monkeypatch)
+    for case in ("on-axis-difference", "off-axis-field"):
+        leaves, entries, r_bounds = _kernel_cases()[case]
+        gram(leaves, entries, studies.weyl_quadrature(quad), r_bounds)
+    (on_nodes, on_cols), (off_nodes, off_cols) = seen
+    assert on_cols < on_nodes // 4
+    assert on_cols < off_cols <= off_nodes
+
+
+def test_kernel_check_fails_with_the_shift_rates_left_out_of_the_key(quad, monkeypatch):
+    # negative control: without the shift rates the off-axis field's columns
+    # merge across phi, and the mass no longer matches the oracle
+    _spy_distinct_columns(monkeypatch, drop_shift_rates=True)
+    leaves, entries, r_bounds = _kernel_cases()["off-axis-field"]
+    assert _worst_kernel_gap(quad, leaves, entries, r_bounds) > 1e-3
 
 
 def test_kernel_check_fails_with_an_improper_carrier_frame(quad, monkeypatch):
