@@ -38,7 +38,8 @@ smooth in omega away from 0, and the two-level check guards every entry.
 The L1 mass (``scale``) is the Gauss sum of |integrand| on the refined
 mesh (the base mesh only checks the value), in the mesh's own frame
 whatever frame the value is summed in; it separates into a radial and an
-angular sum when the entry has one pair of waves.
+angular sum when the entry has one pair of waves, and runs in blocks of
+at most ``MASS_BLOCK_ELEMENTS`` nodes, whatever the mesh, otherwise.
 
 Accumulation runs over angular nodes in a fixed order with fixed block
 sizes, so results are bit-for-bit reproducible.
@@ -77,7 +78,8 @@ TWO_PI = 2.0 * math.pi
 RESONANCE_WINDOW = 1.3   # |c0| / |c| below this: the pair has a stationary direction
 MU_PAD = 16
 PHI_PAD = 8
-CHUNK_ELEMENTS = 600_000  # radial nodes x (angular nodes, or omegas x columns) per chunk
+CHUNK_ELEMENTS = 600_000  # radial nodes x (omegas x columns) per Filon block
+MASS_BLOCK_ELEMENTS = 16_384  # radial nodes x columns per L1-mass block: 256 KB per complex array
 
 
 @dataclass(frozen=True)
@@ -286,8 +288,9 @@ def _carrier_sums(mesh: _Mesh, khat, parts, entries):
     taken on the mesh either way: that of an entry with one
     pair is a radial sum times an angular sum; any other entry forms its
     integrand once per distinct angular column (`_l1_mass`), each carrier
-    difference with its phase relative to the entry's first.  A mesh that
-    does not report the mass (``reports_mass``) returns None for it."""
+    difference with its phase relative to the entry's first, in blocks of
+    at most ``MASS_BLOCK_ELEMENTS`` nodes.  A mesh that does not report the
+    mass (``reports_mass``) returns None for it."""
     rho2 = mesh.rho * mesh.rho
     dots = {}
     pairs = [_part_pairs(mesh, khat, parts[i], parts[j], dots) for i, j in entries]
@@ -307,17 +310,16 @@ def _carrier_sums(mesh: _Mesh, khat, parts, entries):
     if not mesh.reports_mass:
         return values, None
     l1 = [0.0 for _ in entries]
-    step = max(1, CHUNK_ELEMENTS // (2 * mesh.rho.size))
     for e, entry_pairs in enumerate(pairs):
         if len(entry_pairs) == 1:
             (pair,) = entry_pairs
             l1[e] = float(np.abs(pair.radial) @ mesh.rho_weight) * float(np.sum(np.abs(pair.angular)))
         elif entry_pairs:
-            l1[e] = _l1_mass(mesh, khat, entry_pairs, step)
+            l1[e] = _l1_mass(mesh, khat, entry_pairs)
     return values, l1
 
 
-def _l1_mass(mesh: _Mesh, khat, pairs, step: int) -> float:
+def _l1_mass(mesh: _Mesh, khat, pairs) -> float:
     """Gauss sum of |sum of the pairs' integrands| over the mesh.  Each
     integrand carries its phase relative to the first pair's carrier
     difference: the part that does not depend on the direction goes into its
@@ -328,8 +330,10 @@ def _l1_mass(mesh: _Mesh, khat, pairs, step: int) -> float:
     At an angular node the integrand depends on the node only through each
     class's angular factors and each other class's shift rate, so |g| is
     formed once per distinct column of those (`_distinct_columns`; on-axis
-    velocities and probes repeat them across phi), in blocks of ``step``
-    columns, and each column counts as many times as nodes share it."""
+    velocities and probes repeat them across phi), and each column counts as
+    many times as nodes share it.  Blocks of at most ``MASS_BLOCK_ELEMENTS``
+    nodes (one column at least) each take their own radial sums, so no
+    temporary spans more than one block, however large the mesh."""
     rho = mesh.rho
     ref0, ref = pairs[0].delta
     classes = {}
@@ -346,7 +350,8 @@ def _l1_mass(mesh: _Mesh, khat, pairs, step: int) -> float:
     rates = [carrier_rate(carrier_difference((0.0, ref), (0.0, c)), khat) for c in list(classes)[1:]]
     cols, counts = _distinct_columns(np.vstack(
         [row for _, angulars in stacks for row in (angulars.real, angulars.imag)] + rates))
-    mass = np.zeros(rho.size)
+    mass = np.empty(cols.size)
+    step = max(1, MASS_BLOCK_ELEMENTS // rho.size)
     for start in range(0, cols.size, step):
         block = cols[start:start + step]
         g = stacks[0][0] @ stacks[0][1][:, block]
@@ -355,8 +360,8 @@ def _l1_mass(mesh: _Mesh, khat, pairs, step: int) -> float:
             term *= _phases(rho, rate[block])
             term += g
             g = term
-        mass += np.abs(g) @ counts[start:start + step]
-    return float(mesh.rho_weight @ mass)
+        mass[start:start + step] = mesh.rho_weight @ np.abs(g)
+    return float(mass @ counts)
 
 
 def _distinct_columns(key: np.ndarray):

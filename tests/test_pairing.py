@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -119,12 +120,12 @@ def test_pair_with_itself_evaluates_each_chunk_once(quad, forward_probe):
 
 
 def test_pair_is_a_one_entry_gram(params, quad, forward_probe):
-    # several blocks on the fine mesh, so a different block width would move
-    # the sums
+    # several L1-mass blocks on the fine mesh, so a different block width
+    # would move the sums
     v = profile_wavefunction(params, "v_hat_T", T=10.0)
     f = photon_wavefunction(forward_probe)
     mesh = build_mesh(quad.refined(), v, f)
-    assert mesh.node_count > pairing.CHUNK_ELEMENTS
+    assert mesh.node_count > pairing.MASS_BLOCK_ELEMENTS
     assert pair(v, f, quad) == gram((v, f), [(0, 1)], quad)[(0, 1)]
 
 
@@ -561,7 +562,11 @@ def _kernel_cases():
     # sums and complex multiples of Weyl labels; the difference of two
     # on-axis sectors, whose integrand repeats across phi; an on-axis
     # profile and field against a field centred off the 3-axis, whose
-    # angular factors repeat across phi but whose shift rates do not
+    # angular factors repeat across phi but whose shift rates do not; the
+    # windowed profile at T = 10 against a forward probe with an oblique
+    # polarisation, as in cone-window: two carrier classes that differ by
+    # T w, with rates T w.khat, and no column repeats; on (1e-3, 2) the
+    # oracle's Gauss sums resolve the carrier difference 17
     from softcone.geometry import DoubleCone, Point4
     from softcone.testfields import BumpProfile, SeparableTerm, TestFieldPair
 
@@ -589,6 +594,9 @@ def _kernel_cases():
     on_axis = [profile_wavefunction(DressingParams(w=(0.0, 0.0, s)), "v_limit") for s in (0.3, 0.1)]
     centred = photon_wavefunction(make_field(5.0, (0.0, 0.0, 0.0), radius=1.0))
     off_axis = photon_wavefunction(make_field(5.0, (1.0, 0.0, 0.0), radius=1.0))
+    windowed = profile_wavefunction(DressingParams(), "v_hat_T", 10.0)
+    probe = photon_wavefunction(make_field(5.0, (0.0, 0.0, 0.0), direction=(0.3, -0.2, 1.0),
+                                           radius=1.0))
     return {
         "profile-vs-fields": ([v, elec, mag], [(0, 1), (0, 2)], None),
         # a real part (sharp profile) next to a complex one (local field)
@@ -598,6 +606,7 @@ def _kernel_cases():
         "weyl-labels": ([f + g, (f - g).scaled(-1j), f], [(0, 1), (1, 2), (0, 0)], None),
         "on-axis-difference": ([on_axis[0] - on_axis[1]], [(0, 0)], (1e-3, 1.0)),
         "off-axis-field": ([on_axis[0] + centred, off_axis + centred], [(0, 1)], None),
+        "windowed-profile-vs-probe": ([windowed, probe], [(0, 1)], (1e-3, 2.0)),
     }
 
 
@@ -616,12 +625,82 @@ def _worst_kernel_gap(quad, leaves, entries, r_bounds):
     return worst
 
 
-@pytest.mark.parametrize("case", ["profile-vs-fields", "superselection-difference",
-                                  "two-term-fields", "weyl-labels", "on-axis-difference",
-                                  "off-axis-field"])
+KERNEL_CASES = ["profile-vs-fields", "superselection-difference", "two-term-fields",
+                "weyl-labels", "on-axis-difference", "off-axis-field",
+                "windowed-profile-vs-probe"]
+
+
+@pytest.mark.parametrize("case", KERNEL_CASES)
 def test_kernel_matches_three_component_reduction(quad, case):
     leaves, entries, r_bounds = _kernel_cases()[case]
     assert _worst_kernel_gap(quad, leaves, entries, r_bounds) <= 1e-13
+
+
+def test_kernel_check_fails_with_conjugated_shift_phases(quad, monkeypatch):
+    # negative control: e^(-i rho rate) in place of e^(i rho rate) turns the
+    # second carrier class the wrong way against the first, and the windowed
+    # profile's mass no longer matches the oracle
+    real = pairing._phases
+    monkeypatch.setattr(pairing, "_phases", lambda rho, rate: real(rho, -rate))
+    leaves, entries, r_bounds = _kernel_cases()["windowed-profile-vs-probe"]
+    assert _worst_kernel_gap(quad, leaves, entries, r_bounds) > 1e-3
+
+
+def test_l1_mass_does_not_depend_on_the_block_width(quad, monkeypatch):
+    # one column per block and the whole mesh in one block give the default's
+    # scale up to rounding, on every kernel case
+    q = studies.weyl_quadrature(quad)
+    for case in KERNEL_CASES:
+        leaves, entries, r_bounds = _kernel_cases()[case]
+        widths = [1, pairing._meshes(q, leaves, entries, r_bounds)[1].node_count]
+        want = gram(leaves, entries, q, r_bounds)
+        for width in widths:
+            monkeypatch.setattr(pairing, "MASS_BLOCK_ELEMENTS", width)
+            got = gram(leaves, entries, q, r_bounds)
+            for entry in entries:
+                assert got[entry].scale == pytest.approx(want[entry].scale, rel=1e-14, abs=0.0)
+        monkeypatch.undo()
+
+
+def _l1_mass_peak(quad, monkeypatch):
+    """The largest traced allocation peak inside `_l1_mass`, in bytes, while
+    the windowed kernel case is paired on its meshes."""
+    peaks = []
+    real = pairing._l1_mass
+
+    def mass(*args):
+        tracemalloc.start()
+        try:
+            return real(*args)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(pairing, "_l1_mass", mass)
+    leaves, entries, r_bounds = _kernel_cases()["windowed-profile-vs-probe"]
+    gram(leaves, entries, studies.weyl_quadrature(quad), r_bounds)
+    assert peaks
+    return max(peaks)
+
+
+def _mass_working_set_bound():
+    # A block holds at most MASS_BLOCK_ELEMENTS complex numbers per array, and
+    # at most four such arrays are live at once (g, the term, the phase
+    # table and its gathered columns); twice that leaves room for the
+    # per-mesh arrays (the stacked factors and the column key): 2 MB.
+    return 2 * 4 * 16 * pairing.MASS_BLOCK_ELEMENTS
+
+
+def test_l1_mass_working_set_is_bounded_by_the_block(quad, monkeypatch):
+    assert _l1_mass_peak(quad, monkeypatch) < _mass_working_set_bound()
+
+
+def test_working_set_guard_fails_with_blocks_sized_like_the_filon_chunks(quad, monkeypatch):
+    # negative control: max(1, 600_000 // (2 n_rho)) columns per block, the
+    # Filon chunk halved, breaks the bound on the same mesh
+    bound = _mass_working_set_bound()
+    monkeypatch.setattr(pairing, "MASS_BLOCK_ELEMENTS", pairing.CHUNK_ELEMENTS // 2)
+    assert _l1_mass_peak(quad, monkeypatch) > bound
 
 
 def _spy_distinct_columns(monkeypatch, drop_shift_rates=False):
@@ -630,9 +709,9 @@ def _spy_distinct_columns(monkeypatch, drop_shift_rates=False):
     seen, shifts = [], []
     real_mass, real_distinct = pairing._l1_mass, pairing._distinct_columns
 
-    def mass(mesh, khat, pairs, step):
+    def mass(mesh, khat, pairs):
         shifts.append(len({p.delta[1] for p in pairs}) - 1)
-        return real_mass(mesh, khat, pairs, step)
+        return real_mass(mesh, khat, pairs)
 
     def distinct(key):
         if drop_shift_rates:

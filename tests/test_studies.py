@@ -3,6 +3,8 @@ from dataclasses import replace
 import pytest
 
 from softcone import pairing, profiles, studies
+from softcone.quadrature import QuadratureSpec
+from tests.conftest import make_field
 
 SIGMAS = [1e-2, 1e-4]
 
@@ -77,3 +79,28 @@ def test_wave_appendix_runs_on_a_negative_time(params, quad):
     _, forward, _ = studies.wave_appendix(params, quad, {}, {"t_list": [0.0, 1.0]})
     assert by_name["mass-outside-cone"] == {c["name"]: c["value"] for c in forward}["mass-outside-cone"]
     assert by_name["mass-outside-cone"] > 0.0
+
+
+def _defect_verdicts(params, t_center, position):
+    # cone-window's probe, spec and bound (defect_rtol 1e-5), at r_max 20:
+    # a probe off the time axis has a resonant carrier, whose angular rule
+    # grows with r_max squared, and the ratios agree with r_max 40 to five
+    # digits
+    probe = make_field(t_center, position, direction=(-0.352024, -0.264066, 0.897969),
+                       radius=1.0)
+    opts = {"field": "probe", "T_list": [1.0, 10.0], "include_v_hat": True, "defect_rtol": 1e-5}
+    _, checks, _ = studies.huyghens(params, QuadratureSpec(r_max=20.0, n_phi=2),
+                                    {"probe": probe}, opts)
+    assert [c["name"] for c in checks] == ["defect[v_hat]", "defect[v_hat_T[T=1]]",
+                                           "defect[v_hat_T[T=10]]"]
+    assert all(c["threshold"] == 1e-5 for c in checks)
+    return [c["passed"] for c in checks]
+
+
+def test_defect_verdict_fails_for_a_probe_outside_the_forward_cone(monkeypatch, params):
+    # the forward probe passes; the same probe centred at (0, 4, 0, 0),
+    # outside the cone, fails every defect check once the support guard is
+    # bypassed (defect / scale 1.5e-2, 1.4e-2 and 9.6e-4)
+    assert _defect_verdicts(params, 5.0, (0.0, 0.0, 0.0)) == [True, True, True]
+    monkeypatch.setattr(pairing, "_forward_cone_guard", lambda fields: None)
+    assert _defect_verdicts(params, 0.0, (4.0, 0.0, 0.0)) == [False, False, False]
